@@ -63,7 +63,7 @@ inline void maybe_emit_report(const BenchmarkSpec& spec, const FlowRun& run,
   out << run_report_json(meta, opt, run.result, /*indent=*/0) << "\n";
   // With RP_PROFILE on, also append one profile_region row per region so
   // bench_trend.py tracks kernel latency quantiles alongside flow metrics.
-  out << profiler::region_jsonl_rows(run.bench, run.flow);
+  out << profiler::region_jsonl_rows(run.result.obs->profiler(), run.bench, run.flow);
 }
 
 /// Run one flow variant on a freshly generated instance of `spec`.

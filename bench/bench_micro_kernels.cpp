@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -216,6 +217,69 @@ double median_of(std::vector<double> v) {
   std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
                    v.end());
   return v[mid];
+}
+
+/// An interleaved off/on comparison of full-flow wall times.
+struct OverheadPairs {
+  double off_sec = 1e300;  ///< Fastest flow with the feature off.
+  double on_sec = 1e300;   ///< Fastest flow with it on.
+  double ratio = 0.0;      ///< Median of the per-pair on/off ratios: the gated value.
+  double ci = 0.0;         ///< Half-width of the median's ~95% confidence interval.
+  int pairs = 0;
+};
+
+/// Half-width of a distribution-free ~95% confidence interval of the median:
+/// half the gap between the order statistics n/2 ± 0.98·√n.
+double median_ci_half_width(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const double n = static_cast<double>(v.size());
+  const double d = 0.98 * std::sqrt(n);
+  const auto lo = static_cast<std::size_t>(std::max(0.0, std::floor(n / 2 - d)));
+  const auto hi = static_cast<std::size_t>(std::min(n - 1, std::ceil(n / 2 + d)));
+  return (v[hi] - v[lo]) / 2;
+}
+
+/// The overhead gates' absolute limit is 1.02, so the gated median must be
+/// known to well under 2%. On a shared host the per-pair ratio of two
+/// identical tiny flows spreads by ±1% in quiet stretches and ±5-10% in busy
+/// ones, and a 4x longer flow does not narrow it (the noise comes in bursts
+/// of seconds). So the gate samples pairs until the median's ~95% confidence
+/// interval is within ±0.75%, at least 16 pairs and at most 80.
+constexpr int kMinOverheadPairs = 16;
+constexpr int kMaxOverheadPairs = 80;
+constexpr double kOverheadCi = 0.0075;
+
+/// Time `flow_sec(on)` for both arms in adjacent pairs at one thread. The
+/// median of PER-PAIR ratios, not a ratio of per-arm minima: a ratio of
+/// minima inherits the jitter of whichever arm got luckier, while adjacent
+/// off/on runs share machine state, so their ratio cancels host drift, and
+/// the median shrugs off single hiccups while staying centered on the true
+/// overhead. Which arm runs first alternates, so monotone drift (thermal,
+/// frequency scaling) biases as many pairs down as up.
+template <typename Fn>
+OverheadPairs measure_overhead(Fn&& flow_sec) {
+  rp::parallel::set_num_threads(1);
+  OverheadPairs r;
+  std::vector<double> ratios;
+  flow_sec(false);  // warm caches and lazy setup before timing either arm
+  while (r.pairs < kMaxOverheadPairs) {
+    const bool on_first = (r.pairs & 1) != 0;
+    const double first = flow_sec(on_first);
+    const double second = flow_sec(!on_first);
+    const double off = on_first ? second : first;
+    const double on = on_first ? first : second;
+    r.off_sec = std::min(r.off_sec, off);
+    r.on_sec = std::min(r.on_sec, on);
+    ratios.push_back(on / off);
+    ++r.pairs;
+    // Stop only after an even count: as many on-first pairs as off-first.
+    if (r.pairs >= kMinOverheadPairs && (r.pairs & 1) == 0 &&
+        median_ci_half_width(ratios) <= kOverheadCi)
+      break;
+  }
+  r.ratio = median_of(ratios);
+  r.ci = median_ci_half_width(ratios);
+  return r;
 }
 
 /// Sweep each parallel kernel over 1/2/4/8 threads; print a table and, when
@@ -472,13 +536,14 @@ void emit_event_bus_rows() {
     stream_bus.close_stream();
   }
 
-  // Full-flow wall time, stream off vs on (min of k, arms interleaved so
-  // drift hits both equally). The tiny design keeps the pair under a second.
-  auto flow_sec = [](bool stream) {
+  // Full-flow wall time, stream off vs on. The tiny design keeps a pair
+  // under a second; each flow places a fresh copy of it.
+  const Design tiny = generate_benchmark(tiny_spec(17));
+  auto flow_sec = [&tiny](bool stream) {
     auto ctx = std::make_shared<obs::ObsContext>();
     if (stream) ctx->events().open_stream("/dev/null");
     obs::ScopedBind bind(ctx.get());
-    Design d = generate_benchmark(tiny_spec(17));
+    Design d = tiny;
     FlowOptions opt = routability_driven_options();
     opt.obs = ctx;
     PlacementFlow flow(opt);
@@ -487,36 +552,15 @@ void emit_event_bus_rows() {
     return std::chrono::duration<double>(
         std::chrono::steady_clock::now() - t0).count();
   };
-  // Median of PER-PAIR ratios, not a ratio of per-arm minima: the flow runs
-  // ~200 ms with several-percent scheduler jitter, so min(on)/min(off)
-  // inherits the jitter of whichever arm got luckier and flirted with the
-  // absolute 1.02 ceiling on an idle machine. Adjacent off/on runs share
-  // machine state, so their ratio cancels drift, and the median shrugs off
-  // a single hiccup while staying centered on the true overhead.
-  double off_sec = 1e300, on_sec = 1e300;
-  std::vector<double> pair_ratios;
-  flow_sec(false);  // warm caches/pool before timing either arm
-  for (int rep = 0; rep < 15; ++rep) {
-    // Alternate which arm goes first so monotone drift (thermal, frequency
-    // scaling) biases as many pairs down as up instead of all of them up.
-    const bool on_first = (rep & 1) != 0;
-    const double first = flow_sec(on_first);
-    const double second = flow_sec(!on_first);
-    const double off = on_first ? second : first;
-    const double on = on_first ? first : second;
-    off_sec = std::min(off_sec, off);
-    on_sec = std::min(on_sec, on);
-    if (off > 0.0) pair_ratios.push_back(on / off);
-  }
-  const double ratio = median_of(pair_ratios);
+  const OverheadPairs pairs = measure_overhead(flow_sec);
 
   const double events_per_sec = ring_sec > 0.0 ? 1.0 / ring_sec : 0.0;
   std::printf("\nevent bus overhead\n");
   std::printf("  emit (ring only)      %8.1f ns/event (%.2e events/sec)\n",
               ring_sec * 1e9, events_per_sec);
   std::printf("  emit (NDJSON stream)  %8.1f ns/event\n", stream_sec * 1e9);
-  std::printf("  flow stream off/on    %.3fs / %.3fs (ratio %.4f)\n",
-              off_sec, on_sec, ratio);
+  std::printf("  flow stream off/on    %.3fs / %.3fs (ratio %.4f ± %.4f, %d pairs)\n",
+              pairs.off_sec, pairs.on_sec, pairs.ratio, pairs.ci, pairs.pairs);
 
   const char* json_path = std::getenv("RP_BENCH_JSON");
   if (json_path != nullptr && json_path[0] != '\0') {
@@ -526,9 +570,9 @@ void emit_event_bus_rows() {
            << ",\"events_per_sec\":" << events_per_sec
            << ",\"emit_ns\":" << ring_sec * 1e9
            << ",\"emit_streamed_ns\":" << stream_sec * 1e9
-           << ",\"flow_off_sec\":" << off_sec
-           << ",\"flow_on_sec\":" << on_sec
-           << ",\"overhead_ratio\":" << ratio << "}\n";
+           << ",\"flow_off_sec\":" << pairs.off_sec
+           << ",\"flow_on_sec\":" << pairs.on_sec
+           << ",\"overhead_ratio\":" << pairs.ratio << "}\n";
   }
 }
 
@@ -536,18 +580,19 @@ void emit_event_bus_rows() {
 
 /// Measure the resource timeline sampler (util/resource_sampler.hpp): full
 /// flow wall time with the background sampler off vs on at the default
-/// 25 ms tick, arms interleaved and min-of-reps like the event-bus pair.
+/// 25 ms tick, in interleaved pairs like the event-bus gate.
 /// The contract is <2% flow overhead; bench_trend.py gates the emitted
 /// "overhead_ratio" with the same absolute <= 1.02 ceiling.
 void emit_resource_sampler_rows() {
   using namespace rp;
 
   long long samples_taken = 0;
-  auto flow_sec = [&samples_taken](bool sample) {
+  const Design tiny = generate_benchmark(tiny_spec(17));
+  auto flow_sec = [&samples_taken, &tiny](bool sample) {
     auto ctx = std::make_shared<obs::ObsContext>();
     if (sample) ctx->sampler().start(obs::ResourceSampler::Options{});
     obs::ScopedBind bind(ctx.get());
-    Design d = generate_benchmark(tiny_spec(17));
+    Design d = tiny;
     FlowOptions opt = routability_driven_options();
     opt.obs = ctx;
     PlacementFlow flow(opt);
@@ -561,31 +606,14 @@ void emit_resource_sampler_rows() {
     }
     return sec;
   };
-  // Median of per-pair ratios, same rationale as the event-bus gate: at
-  // this flow size a ratio of per-arm minima sits within scheduler noise
-  // of the absolute 1.02 ceiling.
-  double off_sec = 1e300, on_sec = 1e300;
-  std::vector<double> pair_ratios;
-  flow_sec(false);  // warm caches/pool before timing either arm
-  for (int rep = 0; rep < 15; ++rep) {
-    // Alternate which arm goes first so monotone drift (thermal, frequency
-    // scaling) biases as many pairs down as up instead of all of them up.
-    const bool on_first = (rep & 1) != 0;
-    const double first = flow_sec(on_first);
-    const double second = flow_sec(!on_first);
-    const double off = on_first ? second : first;
-    const double on = on_first ? first : second;
-    off_sec = std::min(off_sec, off);
-    on_sec = std::min(on_sec, on);
-    if (off > 0.0) pair_ratios.push_back(on / off);
-  }
-  const double ratio = median_of(pair_ratios);
+  const OverheadPairs pairs = measure_overhead(flow_sec);
 
   std::printf("\nresource sampler overhead (%d ms tick)\n",
               obs::ResourceSampler::kDefaultTickMs);
-  std::printf("  flow sampler off/on   %.3fs / %.3fs (ratio %.4f, "
+  std::printf("  flow sampler off/on   %.3fs / %.3fs (ratio %.4f ± %.4f, %d pairs, "
               "%lld samples last run)\n",
-              off_sec, on_sec, ratio, samples_taken);
+              pairs.off_sec, pairs.on_sec, pairs.ratio, pairs.ci, pairs.pairs,
+              samples_taken);
 
   const char* json_path = std::getenv("RP_BENCH_JSON");
   if (json_path != nullptr && json_path[0] != '\0') {
@@ -594,9 +622,9 @@ void emit_resource_sampler_rows() {
       json << "{\"schema\":\"resource_sampler_overhead\""
            << ",\"tick_ms\":" << obs::ResourceSampler::kDefaultTickMs
            << ",\"samples_taken\":" << samples_taken
-           << ",\"flow_off_sec\":" << off_sec
-           << ",\"flow_on_sec\":" << on_sec
-           << ",\"overhead_ratio\":" << ratio << "}\n";
+           << ",\"flow_off_sec\":" << pairs.off_sec
+           << ",\"flow_on_sec\":" << pairs.on_sec
+           << ",\"overhead_ratio\":" << pairs.ratio << "}\n";
   }
 }
 

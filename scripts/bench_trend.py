@@ -37,6 +37,9 @@ file: a flat ``metrics`` map keyed
 Each metric records its value (mean over rows), sample count, and a *kind*
 that decides the regression direction and default noise tolerance:
 
+  info           reported, never gated: profiler region quantiles
+                 (region.*), many over sub-millisecond regions, move by more
+                 than any tolerance on noise alone
   time           lower is better; noisy     -> default tolerance 15%
   higher_better  higher is better; noisy    -> default tolerance 15%
   quality        lower is better; exact     -> default tolerance 1%
@@ -49,15 +52,19 @@ that decides the regression direction and default noise tolerance:
                  replaces; incremental scoring may never lose to the full
                  re-evaluation it shortcuts)
 
+``aggregate`` also stamps a ``build`` block (compiler, flags, build_type,
+git_describe) taken from the run-report rows, so a trend file says what
+binary produced it; ``compare`` prints both stamps when they differ.
+
 ``compare`` checks a current trend file against a committed baseline and
-exits nonzero if any shared metric regressed beyond its tolerance — this is
-the CI gate (see the bench_smoke ctest). Individual metrics present on only
-one side are reported but never fail the gate (benches come and go) — but a
-whole METRIC FAMILY (the first key segment: flow, kernel, region, eventbus,
-sampler, campaign, ...) that the baseline has and the fresh file lacks
-fails with a clear message: a family vanishing wholesale means a producer
-stopped emitting, not that one bench was renamed. New unbaselined families
-are reported as NEW FAMILY.
+exits nonzero if any shared gated metric regressed beyond its tolerance —
+this is the CI gate (see the bench_smoke ctest). Individual metrics present
+on only one side are reported but never fail the gate (benches come and
+go) — but a whole gated METRIC FAMILY (the first key segment: flow, kernel,
+eventbus, sampler, campaign, ...) that the baseline has and the fresh file
+lacks fails with a clear message: a family vanishing wholesale means a
+producer stopped emitting, not that one bench was renamed. New unbaselined
+families are reported as NEW FAMILY.
 
 stdlib only; no third-party dependencies.
 """
@@ -94,7 +101,21 @@ FLOW_METRICS = ("hpwl", "scaled_hpwl", "rc", "stage_total_sec")
 REGION_METRICS = ("total_ms", "p50_us", "p95_us", "p99_us")
 
 
+def metric_family(key):
+    """First key segment: the producer group a metric belongs to."""
+    return key.split(".", 1)[0]
+
+
+# Families kept in the trend file as information only (kind "info").
+INFO_FAMILIES = ("region",)
+
+# The run report's "build" fields stamped into a trend file.
+BUILD_FIELDS = ("compiler", "flags", "build_type", "git_describe")
+
+
 def metric_kind(key):
+    if metric_family(key) in INFO_FAMILIES:
+        return "info"
     if metric_limit(key) is not None:
         return "limit"
     if key.endswith(SPEEDUP_SUFFIXES):
@@ -190,6 +211,20 @@ def metrics_from_rows(rows):
     return acc
 
 
+def build_from_rows(rows):
+    """The build stamp of the run-report rows (None when there are none)."""
+    stamps = []
+    for row in rows:
+        if "schema_version" in row and isinstance(row.get("build"), dict):
+            stamp = {f: row["build"].get(f, "") for f in BUILD_FIELDS}
+            if stamp not in stamps:
+                stamps.append(stamp)
+    if len(stamps) > 1:
+        print("bench_trend: warning — rows come from %d different builds; "
+              "stamping the first" % len(stamps), file=sys.stderr)
+    return stamps[0] if stamps else None
+
+
 def cmd_aggregate(args):
     date = args.date or time.strftime("%Y%m%d")
     rows = rows_from_jsonl(args.input)
@@ -211,6 +246,9 @@ def cmd_aggregate(args):
         "rows": len(rows),
         "metrics": metrics,
     }
+    build = build_from_rows(rows)
+    if build is not None:
+        doc["build"] = build
     out = args.out or ("BENCH_%s.json" % date)
     with open(out, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
@@ -239,17 +277,13 @@ def load_trend(path):
     return doc
 
 
-def metric_family(key):
-    """First key segment: the producer group a metric belongs to."""
-    return key.split(".", 1)[0]
-
-
 def cmd_compare(args):
     base = load_trend(args.baseline)
     cur = load_trend(args.current)
     bm, cm = base["metrics"], cur["metrics"]
 
     regressions, improvements, checked = [], [], 0
+    info_only = sum(1 for k in cm if metric_kind(k) == "info")
 
     # Absolute-limit metrics gate on the current file alone (and are checked
     # even when the baseline predates them).
@@ -275,9 +309,11 @@ def cmd_compare(args):
 
     for key in sorted(set(bm) & set(cm)):
         b, c = bm[key]["value"], cm[key]["value"]
-        kind = bm[key].get("kind", metric_kind(key))
-        if kind == "limit":
-            continue  # gated absolutely above
+        kind = metric_kind(key)
+        if kind != "info":
+            kind = bm[key].get("kind", kind)
+        if kind in ("limit", "info"):
+            continue  # limits are gated absolutely above; info is never gated
         if kind == "time" and args.scale_time != 1.0:
             c *= args.scale_time  # testing aid: synthetic slowdown injection
         tol = args.quality_tol if kind == "quality" else args.time_tol
@@ -299,12 +335,20 @@ def cmd_compare(args):
     only_base = sorted(set(bm) - set(cm))
     only_cur = sorted(set(cm) - set(bm))
     missing_families = sorted({metric_family(k) for k in bm}
-                              - {metric_family(k) for k in cm})
+                              - {metric_family(k) for k in cm}
+                              - set(INFO_FAMILIES))
     new_families = sorted({metric_family(k) for k in cm}
                           - {metric_family(k) for k in bm})
 
-    print("bench_trend: %s (%s) vs %s (%s): %d shared metrics" %
-          (args.baseline, base.get("date", "?"), args.current, cur.get("date", "?"), checked))
+    print("bench_trend: %s (%s) vs %s (%s): %d shared metrics "
+          "(%d info-only, not gated)" %
+          (args.baseline, base.get("date", "?"), args.current, cur.get("date", "?"),
+           checked, info_only))
+    if base.get("build") != cur.get("build"):
+        for label, doc in (("baseline", base), ("current", cur)):
+            stamp = doc.get("build")
+            print("  BUILD      %-8s %s" % (label, "(none)" if stamp is None else
+                  ", ".join("%s=%s" % (f, stamp.get(f, "")) for f in BUILD_FIELDS)))
     for key, b, c, ratio in improvements:
         print("  IMPROVED   %-55s %.4g -> %.4g (%.2fx)" % (key, b, c, ratio))
     for fam in new_families:

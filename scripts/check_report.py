@@ -14,9 +14,11 @@ Runs `routplace --gen ... --profile --report-json ... --trace-json ...
   * the "resources" block (schema v5, resource timeline sampler): monotone
     sample timestamps, peaks dominating every kept sample, pool_busy a
     fraction in [0,1], and samples_taken >= the kept (downsampled) count;
-  * the trace file as a loadable Chrome trace-event document with spans for
-    every flow stage, each multilevel level, and each routability round, plus
-    per-worker pool/chunk spans on named worker lanes;
+  * the trace file as a loadable Chrome trace-event document with one span
+    per flow stage, exactly one per multilevel level and one per routability
+    round, plus per-worker pool/chunk spans on named worker lanes; every
+    main-lane span name must be a report stage_times key and every
+    stage_times key must have at least one span (both come from RP_SPAN);
   * the snapshot directory: manifest schema, grid-file sizes matching the
     declared dimensions, and the convergence history schema;
   * the failure contract (schema v3): a malformed Bookshelf benchmark must
@@ -172,11 +174,12 @@ def validate_report(report, stdout_text):
               f"report.stage_times missing '{stage}'")
 
 
-def validate_trace(trace, gp_levels, rounds, threads):
+def validate_trace(trace, stage_times, gp_levels, rounds, threads):
     check("traceEvents" in trace, "trace: missing traceEvents")
     events = trace.get("traceEvents", [])
     check(len(events) > 0, "trace: no events")
     names = set()
+    span_counts = {}  # main-lane span name -> number of spans
     chunk_tids = set()
     thread_names = {}
     for e in events:
@@ -193,14 +196,24 @@ def validate_trace(trace, gp_levels, rounds, threads):
         else:
             check(e.get("tid") == 0,
                   f"trace: main-thread span '{e.get('name')}' on lane {e.get('tid')}")
+            span_counts[e.get("name")] = span_counts.get(e.get("name"), 0) + 1
         names.add(e.get("name"))
-    for stage in ("flow", "global", "macro_legal", "legal", "detailed", "eval"):
+    for stage in ("global", "macro_legal", "legal", "detailed", "eval"):
         check(stage in names, f"trace: missing flow-stage span '{stage}'")
     for lvl in range(gp_levels):
-        check(f"gp/level{lvl}" in names, f"trace: missing span 'gp/level{lvl}'")
-    for rnd in range(1, rounds + 1):
-        check(f"gp/routability/round{rnd}" in names,
-              f"trace: missing span 'gp/routability/round{rnd}'")
+        n = span_counts.get(f"global/level{lvl}", 0)
+        check(n == 1, f"trace: {n} spans 'global/level{lvl}' (expected 1)")
+    n = span_counts.get("global/level0/routability", 0)
+    check(n == rounds,
+          f"trace: {n} spans 'global/level0/routability' (expected {rounds}, "
+          f"the report's inflation_rounds)")
+    # One span primitive feeds both: the trace and stage_times must agree.
+    for name in sorted(span_counts):
+        check(name in stage_times,
+              f"trace: main-lane span '{name}' is not a stage_times key")
+    for key in sorted(stage_times):
+        check(key in span_counts,
+              f"report.stage_times key '{key}' has no trace span")
     # Worker-lane contract: chunk spans ride real per-worker tids and every
     # lane is named by a thread_name metadata event (worker-0..N-1).
     check("pool/chunk" in names, "trace: no pool/chunk spans")
@@ -262,8 +275,8 @@ def validate_profile(report, threads):
     regions = prof["regions"]
     check(len(regions) >= 6,
           f"report.profile: only {len(regions)} regions (expected >= 6)")
-    for name in ("flow", "kernel/wirelength", "kernel/density", "kernel/cg",
-                 "kernel/objective", "route/estimate"):
+    for name in ("global", "kernel/wirelength", "kernel/density", "kernel/cg",
+                 "kernel/objective", "detailed/estimate"):
         check(name in regions, f"report.profile.regions missing '{name}'")
     for name, h in regions.items():
         validate_histogram(h, f"report.profile.regions[{name}]")
@@ -552,8 +565,9 @@ def main():
         validate_resources(report)
         # Inflation may converge early; only require the rounds that ran.
         ran_rounds = min(rounds, report.get("gp", {}).get("inflation_rounds", 0))
-        validate_trace(trace, report.get("gp", {}).get("levels", 0), ran_rounds,
-                       threads)
+        validate_trace(trace, report.get("stage_times", {}),
+                       report.get("gp", {}).get("levels", 0),
+                       report.get("gp", {}).get("inflation_rounds", 0), threads)
         if check(snap_dir.is_dir(), "snapshot dir not created"):
             validate_snapshots(snap_dir, ran_rounds)
         check("parse" not in report,

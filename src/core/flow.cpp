@@ -1,32 +1,33 @@
 #include "core/flow.hpp"
 
 #include <memory>
-#include <optional>
-#include <stdexcept>
+#include <string>
 
 #include "route/estimator.hpp"
 #include "util/error.hpp"
 #include "util/logger.hpp"
 #include "util/obs_context.hpp"
-#include "util/profiler.hpp"
+#include "util/parallel.hpp"
 #include "util/telemetry.hpp"
 
 namespace rp {
 
 namespace {
 
-/// Run a stage body bracketed by StageBegin/StageEnd events, polling the
-/// interrupt flag at entry (a stage boundary is always a safe cancellation
-/// point). An escaping rp::Error that does not yet know its stage gets
-/// annotated with this stage's name (throw sites deep in a kernel often
-/// cannot know which flow stage invoked them); an error leaves the stage
-/// UNCLOSED in the event stream — the terminal error event explains why.
+/// Run a stage body in one span named after the stage, bracketed by
+/// StageBegin/StageEnd events, polling the interrupt flag at entry (a stage
+/// boundary is always a safe cancellation point). An escaping rp::Error that
+/// does not yet know its stage gets annotated with this stage's name (throw
+/// sites deep in a kernel often cannot know which flow stage invoked them);
+/// an error leaves the stage UNCLOSED in the event stream — the terminal
+/// error event explains why.
 template <typename Fn>
 void with_stage(const char* stage, Fn&& fn) {
   obs::check_interrupt();
   obs::EventBus& bus = obs::events();
   bus.emit(bus.make(obs::EventKind::StageBegin, stage));
   try {
+    RP_SPAN(stage);
     fn();
   } catch (Error& e) {
     e.set_stage(stage);
@@ -53,19 +54,13 @@ FlowOptions wirelength_driven_options() {
 
 FlowResult PlacementFlow::run(Design& d) {
   FlowResult r;
-  // Observability: with an explicit per-run context, bind it for the run's
-  // duration and keep whatever the caller accumulated (parse counters,
-  // events). Without one, keep the historical contract: reset the current
-  // context so a run's report reflects that run only (bench binaries run
-  // many flows per process).
-  std::optional<obs::ScopedBind> obs_bind;
-  if (opt_.obs != nullptr) {
-    obs_bind.emplace(opt_.obs.get());
-    r.obs = opt_.obs;
-  } else {
-    telemetry::Registry::instance().reset();
-    profiler::reset_all();
-  }
+  // The run observes into the caller's context (keeping whatever it gathered
+  // before, e.g. parse-repair counters) or into a fresh one of its own.
+  r.obs = opt_.obs != nullptr ? opt_.obs : std::make_shared<obs::ObsContext>();
+  obs::ScopedBind obs_bind(r.obs.get());
+  parallel::reset_pool_profile();
+  const std::string span_root = r.obs->span_path();
+  const StageTimes times_before = r.obs->stage_times();
   {
     obs::EventBus& bus = obs::events();
     obs::Event e = bus.make(obs::EventKind::RunBegin, d.name().c_str());
@@ -74,7 +69,6 @@ FlowResult PlacementFlow::run(Design& d) {
     e.i2 = d.num_macros();
     bus.emit(e);
   }
-  RP_TRACE_SPAN("flow");
 
   std::unique_ptr<SnapshotRecorder> snap;
   if (!opt_.snapshot.dir.empty()) {
@@ -83,14 +77,11 @@ FlowResult PlacementFlow::run(Design& d) {
   }
 
   with_stage("global", [&] {
-    ScopedStage t(r.times, "global");
-    RP_TRACE_SPAN("global");
     GpOptions gpo = opt_.gp;
     gpo.snapshot = snap.get();
     GlobalPlacer gp(gpo);
     r.gp = gp.run(d);
     r.gp_trace = gp.trace();
-    r.times.merge("global", gp.times());
   });
 
   // Positions at GP exit, for the final displacement map (GP → legal+DP).
@@ -101,16 +92,12 @@ FlowResult PlacementFlow::run(Design& d) {
   }
 
   with_stage("macro_legal", [&] {
-    ScopedStage t(r.times, "macro_legal");
-    RP_TRACE_SPAN("macro_legal");
     r.macro_legal = legalize_macros(d, opt_.macro_legal);
     freeze_macros(d);
     RP_COUNT("legal.macros", r.macro_legal.macros);
   });
 
   with_stage("legal", [&] {
-    ScopedStage t(r.times, "legal");
-    RP_TRACE_SPAN("legal");
     LegalizeStats ls;
     if (opt_.legalizer == "abacus") {
       AbacusLegalizer lg(opt_.legal);
@@ -130,25 +117,19 @@ FlowResult PlacementFlow::run(Design& d) {
   });
 
   if (!opt_.skip_dp) with_stage("detailed", [&] {
-    ScopedStage t(r.times, "detailed");
-    RP_TRACE_SPAN("detailed");
     DetailedPlaceOptions dpo = opt_.dp;
     DetailedPlacer dp(dpo);
     if (opt_.congestion_aware_dp) {
       // Feed the DP the post-GP congestion picture.
       RoutingGrid rg(d, true);
-      {
-        ScopedStage te(r.times, "estimate");
-        RP_TRACE_SPAN("detailed/estimate");
-        if (opt_.design_csr != nullptr) {
-          // Cached flatten (rp_serve): copy the topology template instead of
-          // rebuilding it; the estimator gathers coordinates per eval, so
-          // the result is byte-identical to the from-scratch path.
-          NetlistCsr csr = *opt_.design_csr;
-          estimate_probabilistic(d, csr, rg);
-        } else {
-          estimate_probabilistic(d, rg);
-        }
+      if (opt_.design_csr != nullptr) {
+        // Cached flatten (rp_serve): copy the topology template instead of
+        // rebuilding it; the estimator gathers coordinates per eval, so the
+        // result is byte-identical to the from-scratch path.
+        NetlistCsr csr = *opt_.design_csr;
+        estimate_probabilistic(d, csr, rg);
+      } else {
+        estimate_probabilistic(d, rg);
       }
       double w = opt_.dp_congestion_weight;
       if (w <= 0.0) w = 2.0 * d.row_height();
@@ -166,8 +147,6 @@ FlowResult PlacementFlow::run(Design& d) {
   });
 
   if (!opt_.skip_eval) with_stage("eval", [&] {
-    ScopedStage t(r.times, "eval");
-    RP_TRACE_SPAN("eval");
     if (snap) {
       // Route on a grid we keep, so the ROUTED (not just estimated)
       // congestion picture lands in the snapshot.
@@ -195,6 +174,7 @@ FlowResult PlacementFlow::run(Design& d) {
     snap->finalize();
     r.snapshot_dir = snap->dir();
   }
+  r.times = r.obs->stage_times().since(times_before, span_root);
   {
     obs::EventBus& bus = obs::events();
     obs::Event e = bus.make(obs::EventKind::RunEnd);

@@ -41,15 +41,12 @@ struct FlowOptions {
   bool skip_eval = false;
   SnapshotOptions snapshot;  ///< snapshot.dir empty: spatial capture off.
 
-  /// Observability context for this run. Two modes:
-  ///  * null (default): the run uses the CURRENT thread-bound context and
-  ///    RESETS its counters/profile at entry — the historical behavior that
-  ///    bench loops and tests rely on (each run's report reflects that run).
-  ///  * non-null: the run binds this caller-owned context for its duration
-  ///    and does NOT reset it, so state accumulated before the flow (parse-
-  ///    repair counters, events) flows into the run report. This is the
-  ///    re-entrant mode: concurrent runs on separate contexts don't share
-  ///    any observability state.
+  /// Observability context for this run. When set, the run binds this
+  /// caller-owned context and keeps whatever it already holds (parse-repair
+  /// counters, events), so that state lands in the run report. When null,
+  /// the run creates a fresh context. Either way the context is never reset
+  /// and comes back as FlowResult::obs; concurrent runs on separate contexts
+  /// share no observability state.
   std::shared_ptr<obs::ObsContext> obs;
 
   /// Optional pre-flattened design-level CSR netlist (rp_serve's design
@@ -73,13 +70,15 @@ struct FlowResult {
   LegalizeStats legal;
   DetailedPlaceStats dp;
   EvalResult eval;
+  /// This run's stage spans ("global", "global/level0", ...), read from the
+  /// context's span tree.
   StageTimes times;
   std::vector<GpTracePoint> gp_trace;
   std::string snapshot_dir;  ///< Where snapshots landed (empty: disabled).
-  /// The context this run observed into (FlowOptions::obs, or null when the
-  /// run used the thread's current context). run_report_json reads counters
-  /// and event totals through this, so building a report for run A while
-  /// run B is bound stays correct.
+  /// The context this run observed into (FlowOptions::obs, or the fresh one
+  /// the run created; never null after run()). run_report_json reads
+  /// counters and event totals through this, so building a report for run A
+  /// while run B is bound stays correct.
   std::shared_ptr<obs::ObsContext> obs;
 };
 

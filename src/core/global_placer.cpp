@@ -48,6 +48,39 @@ void initial_positions(PlaceProblem& p, Rng& rng) {
   p.clamp_to_die();
 }
 
+/// Publish one outer iteration's record: the GpIter event (payload: level
+/// tag, outer, hpwl, overflow, λ, inflation — a pure function of the
+/// computation, deterministic across threads) and the snapshot's point.
+void publish_outer(const GpTracePoint& tp, SnapshotRecorder* snap) {
+  obs::EventBus& bus = obs::events();
+  char tag[24];
+  if (tp.level >= 0) std::snprintf(tag, sizeof tag, "level%d", tp.level);
+  else std::snprintf(tag, sizeof tag, "reheat%d", -tp.level);
+  obs::Event e = bus.make(obs::EventKind::GpIter, tag);
+  e.i0 = tp.level;
+  e.i1 = tp.outer;
+  e.d0 = tp.hpwl;
+  e.d1 = tp.overflow;
+  e.d2 = tp.lambda;
+  e.d3 = tp.inflation;
+  bus.emit(e);
+  if (snap != nullptr) snap->record_point(tp);
+}
+
+/// Publish one routability round: the RouteRound event and the snapshot's
+/// round record.
+void publish_round(const RoutabilityRound& rr, SnapshotRecorder* snap) {
+  obs::EventBus& bus = obs::events();
+  obs::Event e = bus.make(obs::EventKind::RouteRound);
+  e.i0 = rr.round;
+  e.i1 = rr.cells_inflated;
+  e.d0 = rr.congestion.total_overflow;
+  e.d1 = rr.congestion.rc;
+  e.d2 = rr.mean_inflation;
+  bus.emit(e);
+  if (snap != nullptr) snap->record_round(rr);
+}
+
 }  // namespace
 
 GlobalPlacer::LevelResult GlobalPlacer::place_level(PlaceProblem& prob,
@@ -116,35 +149,11 @@ GlobalPlacer::LevelResult GlobalPlacer::place_level(PlaceProblem& prob,
     tp.hpwl = prob.hpwl();
     tp.overflow = ovfl;
     tp.lambda = lambda;
+    tp.gamma = gamma;
     tp.inflation = inflation_mean;
     trace_.push_back(tp);
-    {
-      // Convergence point on the event bus: the payload mirrors GpTracePoint
-      // (pure function of the computation — deterministic across threads).
-      obs::EventBus& bus = obs::events();
-      char tag[24];
-      if (level_tag >= 0) std::snprintf(tag, sizeof tag, "level%d", level_tag);
-      else std::snprintf(tag, sizeof tag, "reheat%d", -level_tag);
-      obs::Event e = bus.make(obs::EventKind::GpIter, tag);
-      e.i0 = level_tag;
-      e.i1 = outer;
-      e.d0 = tp.hpwl;
-      e.d1 = ovfl;
-      e.d2 = lambda;
-      e.d3 = inflation_mean;
-      bus.emit(e);
-    }
+    publish_outer(tp, opt_.snapshot);
     if (opt_.snapshot != nullptr) {
-      ConvergencePoint cp;
-      cp.level = level_tag >= 0 ? level_tag : 0;
-      cp.round = level_tag < 0 ? -level_tag : 0;
-      cp.outer = outer;
-      cp.hpwl = tp.hpwl;
-      cp.overflow = ovfl;
-      cp.lambda = lambda;
-      cp.gamma = gamma;
-      cp.inflation = inflation_mean;
-      opt_.snapshot->record_point(cp);
       const int every = opt_.snapshot->options().density_every;
       if (every > 0 && level_tag == 0 && outer % every == 0) {
         char nm[48];
@@ -201,7 +210,9 @@ bool GlobalPlacer::watchdog_tripped() {
 GpStats GlobalPlacer::run(Design& d) {
   RP_ASSERT(d.finalized(), "GlobalPlacer needs a finalized design");
   trace_.clear();
-  times_ = StageTimes();
+  obs::ObsContext& obs_ctx = obs::current();
+  const std::string span_root = obs_ctx.span_path();
+  const StageTimes times_before = obs_ctx.stage_times();
   wall_.reset();
   outers_done_ = 0;
   watchdog_fired_ = false;
@@ -210,8 +221,7 @@ GpStats GlobalPlacer::run(Design& d) {
 
   std::unique_ptr<Multilevel> ml_holder;
   {
-    ScopedStage t(times_, "clustering");
-    RP_TRACE_SPAN("gp/clustering");
+    RP_SPAN("clustering");
     ml_holder = std::make_unique<Multilevel>(d, opt_.cluster);
   }
   Multilevel& ml = *ml_holder;
@@ -222,8 +232,7 @@ GpStats GlobalPlacer::run(Design& d) {
   initial_positions(ml.level(ml.top()).prob, rng);
 
   for (int l = ml.top(); l >= 0; --l) {
-    ScopedStage lt(times_, "level" + std::to_string(l));
-    RP_TRACE_SPAN("gp/level" + std::to_string(l));
+    RP_SPAN("level" + std::to_string(l));
     PlaceProblem& prob = ml.level(l).prob;
     DensityConfig dc;
     dc.target_density = opt_.target_density;
@@ -252,8 +261,7 @@ GpStats GlobalPlacer::run(Design& d) {
     if (finest && opt_.routability.enable && opt_.routability.cell_inflation) {
       for (int round = 0; round < opt_.routability.rounds; ++round) {
         if (watchdog_tripped()) break;
-        ScopedStage rt(times_, "routability");
-        RP_TRACE_SPAN("gp/routability/round" + std::to_string(round + 1));
+        RP_SPAN("routability");
         apply_solution(prob, d);
         RoutingGrid rg(d, /*include_movable_macros=*/true);
         estimate_probabilistic(d, rg);
@@ -271,28 +279,15 @@ GpStats GlobalPlacer::run(Design& d) {
             opt_.routability.max_total_inflation);
         ++stats.inflation_rounds;
         RP_COUNT("gp.inflation_rounds", 1);
-        // Per-round congestion summary (computed unconditionally now: the
-        // event bus wants it whether or not snapshots are on).
-        const CongestionMetrics round_cm = congestion_metrics(rg);
-        {
-          obs::Event e = obs::events().make(obs::EventKind::RouteRound);
-          e.i0 = round + 1;
-          e.i1 = ir.cells_inflated;
-          e.d0 = round_cm.total_overflow;
-          e.d1 = round_cm.rc;
-          e.d2 = ir.mean_inflation;
-          obs::events().emit(e);
-        }
-        if (opt_.snapshot != nullptr) {
+        RoutabilityRound rr;
+        rr.round = round + 1;
+        rr.congestion = congestion_metrics(rg);
+        rr.cells_inflated = ir.cells_inflated;
+        rr.mean_inflation = ir.mean_inflation;
+        publish_round(rr, opt_.snapshot);
+        if (opt_.snapshot != nullptr)
           opt_.snapshot->record_grid(stage, "inflation",
                                      inflation_map(prob, dens.grid()));
-          SnapshotRoundRecord rr;
-          rr.round = round + 1;
-          rr.congestion = round_cm;
-          rr.cells_inflated = ir.cells_inflated;
-          rr.mean_inflation = ir.mean_inflation;
-          opt_.snapshot->record_round(rr);
-        }
         if (ir.cells_inflated == 0) break;
         RP_INFO("gp routability round %d: %d cells inflated, mean %.3f", round + 1,
                 ir.cells_inflated, ir.mean_inflation);
@@ -303,14 +298,14 @@ GpStats GlobalPlacer::run(Design& d) {
           x0 = prob.x;
           y0 = prob.y;
         }
-        const LevelResult rr = place_level(
+        const LevelResult reheat = place_level(
             prob, dens, *wl, stop, /*level_tag=*/-(round + 1), ir.mean_inflation,
             /*wl_warm_start=*/false, /*lambda0=*/lambda_cont * 0.5, opt_.reheat_outer);
         if (opt_.snapshot != nullptr)
           opt_.snapshot->record_grid(stage, "displacement",
                                      displacement_map(prob, x0, y0, dens.grid()));
-        stats.total_outer += rr.outers;
-        lambda_cont = rr.lambda;
+        stats.total_outer += reheat.outers;
+        lambda_cont = reheat.lambda;
       }
     }
 
@@ -341,6 +336,7 @@ GpStats GlobalPlacer::run(Design& d) {
   RP_GAUGE("gp.mean_inflation", stats.mean_inflation);
   RP_INFO("global placement done: hpwl %.4e, overflow %.3f, %d outer iters, %d levels",
           stats.final_hpwl, stats.final_overflow, stats.total_outer, stats.levels);
+  times_ = obs_ctx.stage_times().since(times_before, span_root);
   return stats;
 }
 

@@ -24,6 +24,7 @@
 #include "db/design.hpp"
 #include "model/density.hpp"
 #include "model/wirelength.hpp"
+#include "route/metrics.hpp"
 #include "util/timer.hpp"
 
 namespace rp {
@@ -71,14 +72,25 @@ struct GpOptions {
   SnapshotRecorder* snapshot = nullptr;
 };
 
-/// One record per outer iteration (Fig-5 convergence data).
+/// One record per outer iteration (Fig-5 convergence data) — the only one:
+/// the GpIter event and the snapshot's convergence point are derived from it.
 struct GpTracePoint {
-  int level = 0;
+  int level = 0;  ///< Level tag: multilevel level k >= 0, or -r for routability round r.
   int outer = 0;
   double hpwl = 0.0;
   double overflow = 0.0;
   double lambda = 0.0;
+  double gamma = 0.0;      ///< WL smoothing width (the step-size schedule).
   double inflation = 1.0;  ///< Mean cell inflation at this point.
+};
+
+/// One routability round: the congestion picture that drove inflation. The
+/// RouteRound event and the snapshot's round record are derived from it.
+struct RoutabilityRound {
+  int round = 0;  ///< 1-based.
+  CongestionMetrics congestion;
+  int cells_inflated = 0;
+  double mean_inflation = 1.0;
 };
 
 struct GpStats {
@@ -99,8 +111,9 @@ class GlobalPlacer {
 
   const std::vector<GpTracePoint>& trace() const { return trace_; }
 
-  /// Internal runtime breakdown ("clustering", "level<k>", "routability"),
-  /// spliced into the flow's StageTimes under "global/".
+  /// The last run's spans relative to GP ("clustering", "level<k>",
+  /// "level0/routability", ...), read from the context's span tree; inside
+  /// the flow the same spans sit under "global/".
   const StageTimes& times() const { return times_; }
 
  private:

@@ -97,11 +97,11 @@ std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
                             const FlowResult& r, int indent,
                             const RunErrorInfo& err) {
   // All counter/gauge/profile/event reads go through the run's own context
-  // when the flow carried one (re-entrancy: reporting run A must not read
-  // whatever context happens to be bound right now); binding it here makes
-  // the nested writers — profiler::write_report_block in particular —
-  // resolve the right instances too. Otherwise: the current context, the
-  // historical behavior.
+  // (re-entrancy: reporting run A must not read whatever context happens to
+  // be bound right now); binding it here makes the nested writers —
+  // profiler::write_report_block in particular — resolve the right
+  // instances too. Only a result that never ran (the error path's
+  // FlowResult{}) has no context; it reports the current one.
   std::optional<obs::ScopedBind> report_bind;
   if (r.obs != nullptr) report_bind.emplace(r.obs.get());
   const obs::ObsContext& obs_ctx = r.obs != nullptr ? *r.obs : obs::current();

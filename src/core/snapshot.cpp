@@ -77,11 +77,11 @@ void SnapshotRecorder::record_grid(const std::string& stage, const std::string& 
   maps_.push_back(std::move(e));
 }
 
-void SnapshotRecorder::record_point(const ConvergencePoint& p) {
+void SnapshotRecorder::record_point(const GpTracePoint& p) {
   if (ok_) points_.push_back(p);
 }
 
-void SnapshotRecorder::record_round(const SnapshotRoundRecord& r) {
+void SnapshotRecorder::record_round(const RoutabilityRound& r) {
   if (ok_) rounds_.push_back(r);
 }
 
@@ -93,10 +93,10 @@ bool SnapshotRecorder::finalize() {
   conv.begin_object();
   conv.kv("schema_version", 1);
   conv.key("points").begin_array();
-  for (const ConvergencePoint& p : points_) {
+  for (const GpTracePoint& p : points_) {
     conv.begin_object();
-    conv.kv("level", p.level);
-    conv.kv("round", p.round);
+    conv.kv("level", p.level >= 0 ? p.level : 0);
+    conv.kv("round", p.level < 0 ? -p.level : 0);
     conv.kv("outer", p.outer);
     conv.kv("hpwl", p.hpwl);
     conv.kv("overflow", p.overflow);
@@ -107,7 +107,7 @@ bool SnapshotRecorder::finalize() {
   }
   conv.end_array();
   conv.key("rounds").begin_array();
-  for (const SnapshotRoundRecord& r : rounds_) {
+  for (const RoutabilityRound& r : rounds_) {
     conv.begin_object();
     conv.kv("round", r.round);
     conv.kv("rc", r.congestion.rc);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "util/obs_context.hpp"
 #include "util/parallel.hpp"
 #include "util/telemetry.hpp"
 
@@ -108,7 +109,7 @@ struct EstScratch {
 
 void estimate_probabilistic(const Design& d, NetlistCsr& csr, RoutingGrid& rg) {
   RP_COUNT("route.estimates", 1);
-  RP_TRACE_SPAN("route/estimate");
+  RP_SPAN("estimate");
   rg.clear_usage();
   const GridMap& m = rg.map();
   csr.gather_coords(d);

@@ -133,7 +133,7 @@ double GlobalRouter::route_segment(const Segment& s, std::vector<int>& path, int
 }
 
 RouteStats GlobalRouter::route(const Design& d) {
-  RP_TRACE_SPAN("route");
+  RP_SPAN("route");
   const GridMap& m = grid_.map();
   grid_.clear_usage();
   pres_fac_ = opt_.pres_fac_init;

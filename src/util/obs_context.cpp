@@ -4,6 +4,7 @@
 #include <csignal>
 #include <cstring>
 
+#include "util/assert.hpp"
 #include "util/error.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -32,6 +33,31 @@ ObsContext& current() { return t_bound != nullptr ? *t_bound : process_default()
 void bind(ObsContext* ctx) { t_bound = ctx; }
 
 ObsContext* bound() { return t_bound; }
+
+// ------------------------------------------------------------------- spans
+
+Span::Span(std::string_view name)
+    : ctx_(current()),
+      parent_len_(ctx_.span_path_.size()),
+      owner_(std::this_thread::get_id()) {
+  if (parent_len_ > 0) ctx_.span_path_ += '/';
+  ctx_.span_path_ += name;
+  ++ctx_.span_depth_;
+  t0_ns_ = profiler::now_ns();
+}
+
+Span::~Span() {
+  const std::uint64_t dur_ns = profiler::now_ns() - t0_ns_;
+  RP_ASSERT(owner_ == std::this_thread::get_id(),
+            "span closed on a different thread than it was opened on");
+  const std::string& path = ctx_.span_path_;
+  const int depth = --ctx_.span_depth_;
+  ctx_.stage_times_.add(path, static_cast<double>(dur_ns) * 1e-9);
+  if (ctx_.trace_.enabled())
+    ctx_.trace_.emit_span(path, t0_ns_, dur_ns, /*tid=*/0, depth);
+  if (profiler::enabled()) ctx_.profiler_.record(path, dur_ns);
+  ctx_.span_path_.resize(parent_len_);
+}
 
 // ------------------------------------------------------- interrupt support
 

@@ -3,30 +3,38 @@
 // observability layer and the re-entrancy contract for `flow.run`.
 //
 //   ObsContext
+//    ├── StageTimes             span tree: time per stage path  (RP_SPAN)
 //    ├── telemetry::Registry    counters + gauges   (RP_COUNT / RP_GAUGE)
-//    ├── telemetry::TraceBuffer Chrome-trace spans  (RP_TRACE_SPAN)
-//    ├── profiler::Profiler     region histograms   (RP_PROFILE_REGION)
+//    ├── telemetry::TraceBuffer Chrome-trace events (RP_SPAN, pool chunks)
+//    ├── profiler::Profiler     region histograms   (RP_SPAN, RP_PROFILE_REGION)
 //    ├── obs::EventBus          typed events, NDJSON stream, flight recorder
 //    └── obs::ResourceSampler   RSS/CPU/pool-busy timeline (schema-v5 block)
 //
-// Historically these four were process globals that `flow.run` reset at
-// entry, which made the flow non-re-entrant (two runs in one process tramped
-// each other's counters — the blocker for the `rp_serve` daemon, and the
-// reason PR 5 had to route ParseRepairs around the registry). Now every run
-// can own its context:
+// ONE MODE. Every `flow.run` observes into a context: FlowOptions::obs when
+// the caller supplies one (state gathered before the flow — parse-repair
+// counters, events — then lands in the same report), else a fresh context
+// the run creates. The run binds it for its duration, never resets it, and
+// hands it back as FlowResult::obs:
 //
 //   auto obs = std::make_shared<obs::ObsContext>();
 //   obs::ScopedBind bind(obs.get());       // this thread's "current" context
 //   ... parse, flow.run (FlowOptions::obs), run_report_json(r) ...
 //
+// ONE SPAN. RP_SPAN(name) is the single bracket for a stage of work. It
+// nests under the spans already open on the context, so its path is
+// "<parent path>/<name>" ("global/level0/routability"); at close it adds its
+// wall time to stage_times() under that path, and — with tracing or
+// profiling on — pushes one trace event and one profile sample under the
+// same path. Library layers (estimator, router, DP passes) open spans too,
+// which land under whichever stage called them. Only the hot kernels use
+// the cheaper RP_PROFILE_REGION (util/profiler.hpp).
+//
 // THREAD-BOUND CURRENT CONTEXT. `current()` resolves to the context bound to
 // this thread (`bind` / ScopedBind), falling back to a process-wide default.
 // `Registry::instance()` / `Profiler::instance()` and every RP_* macro
-// resolve against current(), so the entire codebase — and its tests — work
-// unchanged; code that never binds a context sees exactly the old global
-// behavior. Two threads bound to two different contexts observe fully
-// disjoint counters/traces/events (the re-entrancy ctest proves byte-
-// identical reports for concurrent runs).
+// resolve against current(). Two threads bound to two different contexts
+// observe fully disjoint counters/spans/traces/events (the re-entrancy ctest
+// proves byte-identical reports for concurrent runs).
 //
 // MACRO SLOT CACHES. RP_COUNT/RP_GAUGE/RP_PROFILE_REGION cache their slot
 // pointer per call site in a thread_local stamped with the owning registry's
@@ -48,18 +56,23 @@
 // SIGBUS/SIGFPE handlers that dump the flight recorder of the context named
 // by set_crash_context() through the async-signal-safe writer, then re-raise.
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <thread>
 
 #include "util/event_bus.hpp"
 #include "util/profiler.hpp"
 #include "util/resource_sampler.hpp"
 #include "util/telemetry.hpp"
+#include "util/timer.hpp"
 
 namespace rp::obs {
 
 /// One run's worth of observability state. Default-constructible, owns all
-/// four sinks; see the file comment for the binding/lifetime contract.
+/// sinks; see the file comment for the binding/lifetime contract.
 class ObsContext {
  public:
   ObsContext() = default;
@@ -75,15 +88,16 @@ class ObsContext {
   ResourceSampler& sampler() { return sampler_; }
   const ResourceSampler& sampler() const { return sampler_; }
 
-  /// Zero counters/gauges and profiler histograms in place (slot addresses
-  /// and epochs are preserved; the event bus and trace buffer are not
-  /// touched). Fresh contexts start zeroed — this is for reuse.
-  void reset() {
-    registry_.reset();
-    profiler_.reset();
-  }
+  /// Wall time of every closed span, by path.
+  const StageTimes& stage_times() const { return stage_times_; }
+  /// Path of the innermost open span ("" when none is open).
+  const std::string& span_path() const { return span_path_; }
 
  private:
+  friend class Span;
+  StageTimes stage_times_;
+  std::string span_path_;
+  int span_depth_ = 0;  ///< Number of open spans.
   telemetry::Registry registry_;
   telemetry::TraceBuffer trace_;
   profiler::Profiler profiler_;
@@ -123,6 +137,24 @@ class ScopedBind {
 /// Shorthand for current().events() — the emit sites' entry point.
 inline EventBus& events() { return current().events(); }
 
+/// RAII span behind RP_SPAN (see the file comment). Opens on the current
+/// context and closes into that same context, even across a rebind. Reads
+/// the clock once at open and once at close. Must close on the thread that
+/// opened it (asserted): the context's open-span path has no synchronization.
+class Span {
+ public:
+  explicit Span(std::string_view name);
+  ~Span();
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+
+ private:
+  ObsContext& ctx_;
+  std::size_t parent_len_;  ///< Length of the parent's path.
+  std::thread::id owner_;
+  std::uint64_t t0_ns_;
+};
+
 // ------------------------------------------------------- interrupt support
 
 /// True once a SIGINT/SIGTERM arrived (or request_interrupt() was called).
@@ -158,3 +190,9 @@ void install_crash_handlers(const CrashHandlerOptions& opt);
 void set_crash_context(ObsContext* ctx);
 
 }  // namespace rp::obs
+
+#define RP_OBS_CONCAT2(a, b) a##b
+#define RP_OBS_CONCAT(a, b) RP_OBS_CONCAT2(a, b)
+
+/// Scoped span with a unique local name: RP_SPAN("level" + std::to_string(l)).
+#define RP_SPAN(name) ::rp::obs::Span RP_OBS_CONCAT(rp_obs_span_, __LINE__)(name)

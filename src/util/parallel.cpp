@@ -364,7 +364,11 @@ PoolProfile pool_profile() {
 
 void reset_pool_profile() {
   RP_ASSERT(!t_in_region, "reset_pool_profile from inside a parallel region");
-  ThreadPool::instance().impl_->reset_profile();
+  ThreadPool::Impl& s = *ThreadPool::instance().impl_;
+  // Every flow run resets at entry; a concurrent submitter's job (and its
+  // profile fold) must not be mid-flight while the slots are cleared.
+  std::lock_guard<std::mutex> submit_lk(s.submit_m);
+  s.reset_profile();
 }
 
 }  // namespace rp::parallel

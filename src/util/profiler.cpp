@@ -132,11 +132,6 @@ bool env_requested() {
   return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
 }
 
-void reset_all() {
-  Profiler::instance().reset();
-  parallel::reset_pool_profile();
-}
-
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -216,10 +211,11 @@ void write_report_block(JsonWriter& w) {
   w.end_object();
 }
 
-std::string region_jsonl_rows(const std::string& bench, const std::string& flow) {
+std::string region_jsonl_rows(const Profiler& p, const std::string& bench,
+                              const std::string& flow) {
   if (!enabled()) return {};
   std::string out;
-  for (const auto& [name, r] : Profiler::instance().regions()) {
+  for (const auto& [name, r] : p.regions()) {
     const LatencyHistogram& h = r->hist;
     if (h.samples == 0) continue;
     JsonWriter w;

@@ -3,8 +3,8 @@
 //
 // Always compiled, OFF by default (`routplace --profile` / RP_PROFILE=1).
 // Three sources feed it when enabled:
-//  * every RP_TRACE_SPAN site (TraceSpan reports its duration here whether
-//    or not Chrome tracing is on);
+//  * every RP_SPAN (util/obs_context.hpp) records one sample under its stage
+//    path ("global/level0"), whether or not Chrome tracing is on;
 //  * RP_PROFILE_REGION sites in the hot kernels (wirelength/density/CG/
 //    objective) — like RP_COUNT, the region slot is resolved ONCE per call
 //    site into a function-local static, so the steady-state cost with
@@ -25,11 +25,12 @@
 // on/off and any thread count produce byte-identical placements (enforced
 // by scripts/check_threads_determinism.py).
 //
-// Like the telemetry registry, the region registry is PER-RUN since PR 7:
-// one Profiler per obs::ObsContext, with instance() resolving the current
-// thread's bound context. Slots are never deallocated within a profiler —
-// reset() zeroes histograms in place — and RP_PROFILE_REGION's epoch-stamped
-// thread_local cache re-resolves whenever the bound context changes.
+// Like the telemetry registry, the region registry is PER-RUN: one Profiler
+// per obs::ObsContext, with instance() resolving the current thread's bound
+// context. Slots are never deallocated within a profiler — reset() zeroes
+// histograms in place — and RP_PROFILE_REGION's epoch-stamped thread_local
+// cache re-resolves whenever the bound context changes. The thread pool's
+// profile is process-wide; a flow run resets it at entry.
 
 #include <cstdint>
 #include <map>
@@ -79,7 +80,7 @@ struct LatencyHistogram {
   double min_us() const { return static_cast<double>(min_ns) / 1000.0; }
 };
 
-/// One named profiled region (an RP_TRACE_SPAN or RP_PROFILE_REGION site).
+/// One named profiled region (an RP_SPAN path or an RP_PROFILE_REGION site).
 struct Region {
   LatencyHistogram hist;
 };
@@ -129,10 +130,6 @@ void set_enabled(bool on);
 /// (set and not "0"); used by the CLI and the bench binaries.
 bool env_requested();
 
-/// Zero region histograms AND the pool's cumulative profile (a flow run
-/// calls this so its report reflects that run only).
-void reset_all();
-
 /// Steady-clock nanoseconds (monotonic, epoch unspecified).
 std::uint64_t now_ns();
 
@@ -141,9 +138,10 @@ std::uint64_t now_ns();
 /// when enabled() — the block is absent from unprofiled reports.
 void write_report_block(JsonWriter& w);
 
-/// One JSONL row per region ({"schema":"profile_region",...}), for
+/// One JSONL row per region of `p` ({"schema":"profile_region",...}), for
 /// RP_BENCH_JSON trend tracking. Empty string when profiling is off.
-std::string region_jsonl_rows(const std::string& bench, const std::string& flow);
+std::string region_jsonl_rows(const Profiler& p, const std::string& bench,
+                              const std::string& flow);
 
 /// RAII sampler for RP_PROFILE_REGION: latches enabled() at entry.
 class ScopedRegion {

@@ -64,75 +64,33 @@ std::vector<std::pair<std::string, double>> Registry::gauges() const {
 
 // ------------------------------------------------------------------ trace
 
-using Clock = std::chrono::steady_clock;
-
 void TraceBuffer::start() {
   events_.clear();
-  span_depth_ = 0;
-  epoch_ = Clock::now();
   epoch_ns_ = profiler::now_ns();
   on_ = true;
 }
 
-double TraceBuffer::now_us() const {
-  if (!on_) return 0.0;
-  return std::chrono::duration<double, std::micro>(Clock::now() - epoch_).count();
-}
-
-void TraceBuffer::emit_span(const char* name, std::uint64_t start_ns,
-                            std::uint64_t dur_ns, int tid) {
+void TraceBuffer::emit_span(std::string name, std::uint64_t start_ns,
+                            std::uint64_t dur_ns, int tid, int depth) {
   if (!on_) return;
   TraceEvent e;
-  e.name = name;
+  e.name = std::move(name);
   e.ts_us = start_ns >= epoch_ns_
                 ? static_cast<double>(start_ns - epoch_ns_) / 1000.0
                 : 0.0;
   e.dur_us = static_cast<double>(dur_ns) / 1000.0;
+  e.depth = depth;
   e.tid = tid;
   events_.push_back(std::move(e));
-}
-
-void TraceBuffer::push(TraceEvent e) {
-  if (on_) events_.push_back(std::move(e));
 }
 
 void start_trace() { obs::current().trace().start(); }
 void stop_trace() { obs::current().trace().stop(); }
 bool trace_enabled() { return obs::current().trace().enabled(); }
-double trace_now_us() { return obs::current().trace().now_us(); }
 const std::vector<TraceEvent>& trace_events() { return obs::current().trace().events(); }
 
 void emit_span(const char* name, std::uint64_t start_ns, std::uint64_t dur_ns, int tid) {
   obs::current().trace().emit_span(name, start_ns, dur_ns, tid);
-}
-
-TraceSpan::TraceSpan(std::string name) {
-  TraceBuffer& tb = obs::current().trace();
-  const bool trace = tb.enabled();
-  const bool profile = profiler::enabled();
-  if (!trace && !profile) return;
-  name_ = std::move(name);
-  t0_ns_ = profiler::now_ns();
-  if (profile) prof_ = &profiler::Profiler::instance();
-  if (trace) {
-    buf_ = &tb;
-    tb.enter_span();
-  }
-}
-
-TraceSpan::~TraceSpan() {
-  if (buf_ == nullptr && prof_ == nullptr) return;
-  const std::uint64_t dur_ns = profiler::now_ns() - t0_ns_;
-  if (prof_ != nullptr) prof_->record(name_, dur_ns);
-  if (buf_ == nullptr) return;
-  TraceEvent e;
-  e.name = std::move(name_);
-  e.ts_us = t0_ns_ >= buf_->epoch_ns()
-                ? static_cast<double>(t0_ns_ - buf_->epoch_ns()) / 1000.0
-                : 0.0;
-  e.dur_us = static_cast<double>(dur_ns) / 1000.0;
-  e.depth = buf_->exit_span();
-  buf_->push(std::move(e));
 }
 
 std::string trace_json() {

@@ -1,24 +1,24 @@
 #pragma once
-// Telemetry: named counters/gauges and a flow-event trace.
+// Telemetry: named counters/gauges and the Chrome trace buffer.
 //
-// Since PR 7 this state is PER-RUN, not per-process: a Registry and a
-// TraceBuffer are owned by an obs::ObsContext (util/obs_context.hpp), and
-// `Registry::instance()` resolves to the context bound to the current
-// thread (falling back to a process-wide default, which preserves the old
-// global behavior for code that never binds one).
+// This state is PER-RUN: a Registry and a TraceBuffer are owned by an
+// obs::ObsContext (util/obs_context.hpp), and `Registry::instance()`
+// resolves to the context bound to the current thread (falling back to a
+// process-wide default for code that never binds one).
 //
-// Three rules keep this layer cheap enough to leave compiled in:
+// Two rules keep this layer cheap enough to leave compiled in:
 //  * RP_COUNT / RP_GAUGE cache their registry slot per call site in a
 //    thread_local stamped with the owning registry's EPOCH (process-unique,
 //    minted at registry construction). A cache hit is one compare + one
 //    add/store; a context switch changes the epoch and forces re-resolution,
 //    so a stale pointer is never dereferenced.
-//  * Trace spans check a single flag before touching the clock; with
-//    tracing off a span is a branch and nothing else.
 //  * A registry never deallocates slots — reset() zeroes values in place,
-//    so cached slot pointers stay valid across flow runs within a context.
+//    so cached slot pointers stay valid.
 //
-// The trace buffer serializes to the Chrome trace-event format
+// The trace buffer is filled by RP_SPAN (util/obs_context.hpp: one event per
+// span, named by its stage path, when tracing is on) and by the thread pool
+// (one "pool/chunk" event per chunk, on the worker's lane). It serializes to
+// the Chrome trace-event format
 // (https://chromium.googlesource.com/catapult → trace_event format), loadable
 // in chrome://tracing or https://ui.perfetto.dev.
 //
@@ -27,16 +27,11 @@
 // (Distinct threads bound to DISTINCT contexts may use their own registries
 // concurrently — that is the whole point of the per-run design.)
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
-
-namespace rp::profiler {
-class Profiler;
-}
 
 namespace rp::telemetry {
 
@@ -98,8 +93,8 @@ struct TraceEvent {
   int tid = 0;    ///< Trace lane: 0 = main thread, w >= 1 = pool worker w.
 };
 
-/// The span buffer behind RP_TRACE_SPAN. One per ObsContext; the free
-/// functions below operate on the current context's buffer.
+/// The trace event buffer. One per ObsContext; the free functions below
+/// operate on the current context's buffer.
 class TraceBuffer {
  public:
   /// Begin collecting (clears any previous buffer, restarts the epoch).
@@ -108,30 +103,18 @@ class TraceBuffer {
   void stop() { on_ = false; }
   bool enabled() const { return on_; }
 
-  /// Microseconds since start() (0 when off).
-  double now_us() const;
-  /// profiler::now_ns() at start(); spans subtract this.
-  std::uint64_t epoch_ns() const { return epoch_ns_; }
-
   const std::vector<TraceEvent>& events() const { return events_; }
 
   /// Append a complete event on an explicit thread lane. `start_ns` is a
   /// profiler::now_ns() stamp taken on any thread; the CALL must come from
   /// the owning thread (the pool flushes per-worker chunk spans after a
   /// region completes). No-op when off.
-  void emit_span(const char* name, std::uint64_t start_ns, std::uint64_t dur_ns,
-                 int tid);
-
-  // Span-depth bookkeeping for TraceSpan (RAII nesting on one thread).
-  int enter_span() { return span_depth_++; }
-  int exit_span() { return --span_depth_; }
-  void push(TraceEvent e);
+  void emit_span(std::string name, std::uint64_t start_ns, std::uint64_t dur_ns,
+                 int tid, int depth = 0);
 
  private:
   bool on_ = false;
-  std::uint64_t epoch_ns_ = 0;
-  std::chrono::steady_clock::time_point epoch_;
-  int span_depth_ = 0;
+  std::uint64_t epoch_ns_ = 0;  ///< profiler::now_ns() at start().
   std::vector<TraceEvent> events_;
 };
 
@@ -140,7 +123,6 @@ class TraceBuffer {
 void start_trace();
 void stop_trace();
 bool trace_enabled();
-double trace_now_us();
 const std::vector<TraceEvent>& trace_events();
 void emit_span(const char* name, std::uint64_t start_ns, std::uint64_t dur_ns, int tid);
 
@@ -148,25 +130,6 @@ void emit_span(const char* name, std::uint64_t start_ns, std::uint64_t dur_ns, i
 std::string trace_json();
 /// Write trace_json() to a file; returns false (and logs) on I/O failure.
 bool write_trace_json(const std::string& path);
-
-/// RAII span: records a complete trace event over its lifetime when tracing
-/// is on, and feeds its duration into the profiler's region histogram when
-/// profiling is on (either switch arms it; both off keeps it to two
-/// branches). Captures its context's buffer/profiler at construction, so a
-/// span straddling a rebind still lands in the context it started in.
-class TraceSpan {
- public:
-  explicit TraceSpan(std::string name);
-  ~TraceSpan();
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  std::string name_;
-  TraceBuffer* buf_ = nullptr;          ///< Non-null while tracing.
-  profiler::Profiler* prof_ = nullptr;  ///< Non-null while profiling.
-  std::uint64_t t0_ns_ = 0;
-};
 
 /// Peak resident-set size of this process in KiB (0 where unsupported).
 long peak_rss_kb();
@@ -205,6 +168,3 @@ long peak_rss_kb();
     rp_tm_slot_->value = static_cast<double>(v);                                    \
   } while (0)
 
-/// Scoped trace span with a unique local name.
-#define RP_TRACE_SPAN(name) \
-  ::rp::telemetry::TraceSpan RP_TELEMETRY_CONCAT(rp_tm_span_, __LINE__)(name)

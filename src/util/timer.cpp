@@ -31,18 +31,15 @@ double StageTimes::total() const {
   return sum;
 }
 
-std::string StageTimes::compose(const std::string& stage) const {
-  if (open_.empty()) return stage;
-  std::string path;
-  for (const std::string& s : open_) {
-    path += s;
-    path += '/';
+StageTimes StageTimes::since(const StageTimes& before, const std::string& prefix) const {
+  const std::string head = prefix.empty() ? std::string() : prefix + "/";
+  StageTimes out;
+  for (const auto& [name, t] : stages_) {
+    if (name.compare(0, head.size(), head) != 0) continue;
+    const double grew = t - before.get(name);
+    if (grew > 0.0) out.add(name.substr(head.size()), grew);
   }
-  return path + stage;
-}
-
-void StageTimes::merge(const std::string& prefix, const StageTimes& other) {
-  for (const auto& [name, t] : other.stages_) add(prefix + "/" + name, t);
+  return out;
 }
 
 namespace {

@@ -3,11 +3,8 @@
 
 #include <chrono>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
-
-#include "util/assert.hpp"
 
 namespace rp {
 
@@ -25,13 +22,12 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Accumulates named stage runtimes; used by the flow's runtime breakdown.
+/// Accumulated runtimes by stage path ("global/level0/routability").
 ///
-/// Stage names may be hierarchical paths ("gp/level2/solve"): nested
-/// ScopedStage instances on the same StageTimes compose such paths
-/// automatically, report() renders the tree, and total() sums only the root
-/// stages (a child's time is already inside its parent). The flat API —
-/// add()/get() with plain names — behaves exactly as before.
+/// The RP_SPANs of a run (util/obs_context.hpp) add into their context's
+/// StageTimes under their composed paths; report() renders the tree, and
+/// total() sums only the root stages (a child's time is already inside its
+/// parent). add()/get() also work with plain names.
 class StageTimes {
  public:
   void add(const std::string& stage, double sec);
@@ -43,49 +39,16 @@ class StageTimes {
   /// Legacy one-line "name=1.23s ... total=…s" form (root stages only).
   std::string report_flat() const;
 
-  /// Copy every entry of `other` in under `prefix/` (used to splice a
-  /// sub-component's private StageTimes into the flow's).
-  void merge(const std::string& prefix, const StageTimes& other);
+  /// What was added under `prefix/` ("" = everywhere) since `before`, an
+  /// earlier copy of this object: each entry that grew, by how much, with
+  /// the prefix stripped. A flow or GP run reads its own breakdown this way
+  /// out of a context that also holds earlier work.
+  StageTimes since(const StageTimes& before, const std::string& prefix) const;
 
   const std::vector<std::pair<std::string, double>>& entries() const { return stages_; }
 
  private:
-  friend class ScopedStage;
-  /// Compose `stage` under the currently open ScopedStage path.
-  std::string compose(const std::string& stage) const;
-
   std::vector<std::pair<std::string, double>> stages_;
-  std::vector<std::string> open_;  ///< Stack of live ScopedStage names.
-};
-
-/// RAII: adds the scope's elapsed time to a StageTimes entry at destruction.
-/// Nested ScopedStages on the same StageTimes record hierarchical paths:
-/// ScopedStage("solve") inside ScopedStage("gp") accumulates "gp/solve".
-///
-/// Single-thread-only: StageTimes' open-stage stack has no synchronization,
-/// so a stage must close on the thread that opened it. Closing elsewhere
-/// (e.g. a span moved into a pool chunk via the caller-as-worker-0 path)
-/// would silently corrupt the nesting tree — it asserts instead.
-class ScopedStage {
- public:
-  ScopedStage(StageTimes& st, std::string stage)
-      : st_(st), path_(st.compose(stage)), owner_(std::this_thread::get_id()) {
-    st_.open_.push_back(std::move(stage));
-  }
-  ~ScopedStage() {
-    RP_ASSERT(owner_ == std::this_thread::get_id(),
-              "ScopedStage closed on a different thread than it was opened on");
-    st_.open_.pop_back();
-    st_.add(path_, timer_.seconds());
-  }
-  ScopedStage(const ScopedStage&) = delete;
-  ScopedStage& operator=(const ScopedStage&) = delete;
-
- private:
-  StageTimes& st_;
-  std::string path_;
-  std::thread::id owner_;
-  Timer timer_;
 };
 
 }  // namespace rp

@@ -5,7 +5,7 @@
 
 #include <filesystem>
 #include <fstream>
-#include <set>
+#include <map>
 #include <sstream>
 
 #include "core/cli.hpp"
@@ -234,17 +234,29 @@ TEST(Cli, EndToEndEmitsReportAndTrace) {
   EXPECT_GT(rep.at("parallel").at("regions").num, 0.0);
 
   // Trace: loadable event buffer with spans for every flow stage ("M" rows
-  // are the thread-naming metadata for the per-worker lanes).
+  // are the thread-naming metadata for the per-worker lanes), each named by
+  // its stage_times path.
   const JsonValue tr = json_parse(slurp(trace));
-  std::set<std::string> names;
+  std::map<std::string, int> spans;
   for (const JsonValue& e : tr.at("traceEvents").arr) {
     EXPECT_TRUE(e.at("ph").str == "X" || e.at("ph").str == "M");
-    if (e.at("ph").str == "X") names.insert(e.at("name").str);
+    if (e.at("ph").str == "X" && e.at("name").str != "pool/chunk")
+      ++spans[e.at("name").str];
   }
   for (const char* stage :
-       {"flow", "global", "macro_legal", "legal", "detailed", "eval",
-        "gp/level0", "gp/routability/round1"})
-    EXPECT_TRUE(names.count(stage)) << "missing span '" << stage << "'";
+       {"global", "macro_legal", "legal", "detailed", "eval", "global/level0",
+        "global/level0/routability", "global/level0/routability/estimate",
+        "detailed/estimate", "eval/route"})
+    EXPECT_TRUE(spans.count(stage)) << "missing span '" << stage << "'";
+  // One span per GP level and one per routability round (--rounds 1).
+  EXPECT_EQ(spans["global/level0"], 1);
+  EXPECT_EQ(spans["global/level0/routability"],
+            static_cast<int>(rep.at("gp").at("inflation_rounds").num));
+  // Every span is a stage_times key, and every stage_times key was traced.
+  for (const auto& [name, n] : spans)
+    EXPECT_TRUE(rep.at("stage_times").has(name)) << "untimed span '" << name << "'";
+  for (const auto& [key, v] : rep.at("stage_times").obj)
+    EXPECT_TRUE(spans.count(key)) << "untraced stage '" << key << "'";
   fs::remove_all(dir);
 }
 

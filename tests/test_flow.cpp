@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
+#include <set>
+#include <string>
 
 #include "core/flow.hpp"
 #include "core/run_report.hpp"
@@ -12,7 +15,7 @@
 #include "gen/generator.hpp"
 #include "util/json.hpp"
 #include "util/logger.hpp"
-#include "util/telemetry.hpp"
+#include "util/obs_context.hpp"
 
 namespace rp {
 namespace {
@@ -181,17 +184,62 @@ TEST_F(FlowTest, CounterRegistryResetsBetweenRuns) {
   BenchmarkSpec spec = tiny_spec(71);
   Design a = generate_benchmark(spec);
   PlacementFlow fa;
-  fa.run(a);
-  const auto& reg = telemetry::Registry::instance();
-  const std::int64_t outers_a = reg.counter_value("gp.outer_iters");
+  const FlowResult ra = fa.run(a);
+  ASSERT_NE(ra.obs, nullptr);
+  const std::int64_t outers_a = ra.obs->registry().counter_value("gp.outer_iters");
   ASSERT_GT(outers_a, 0);
 
   Design b = generate_benchmark(spec);
   PlacementFlow fb;
-  fb.run(b);
-  // Same design, fresh registry: the second run's count matches the first
-  // instead of doubling (the flow resets counters at entry).
-  EXPECT_EQ(reg.counter_value("gp.outer_iters"), outers_a);
+  const FlowResult rb = fb.run(b);
+  // Same design, fresh context: the second run's count matches the first
+  // instead of doubling.
+  ASSERT_NE(rb.obs, ra.obs);
+  EXPECT_EQ(rb.obs->registry().counter_value("gp.outer_iters"), outers_a);
+}
+
+/// What a report says about the observability state it was built from.
+struct ReportShape {
+  double events_emitted = 0.0;
+  std::set<std::string> counters, gauges;
+};
+
+ReportShape report_shape(const Design& d, const FlowOptions& opt, const FlowResult& r) {
+  const JsonValue doc = json_parse(
+      run_report_json(make_report_meta(d, "generated", "wirelength", 71), opt, r));
+  ReportShape s;
+  s.events_emitted = doc.at("events").at("emitted").num;
+  for (const auto& [name, v] : doc.at("counters").obj) s.counters.insert(name);
+  for (const auto& [name, v] : doc.at("gauges").obj) s.gauges.insert(name);
+  return s;
+}
+
+TEST_F(FlowTest, NullObsRunDoesNotInheritEarlierRuns) {
+  // Regression: a run without FlowOptions::obs used to reset the current
+  // context in place. That zeroed the earlier run's counters and gauges but
+  // kept their slots, and left its events on the bus, so a report depended
+  // on what ran before it in the same process.
+  const BenchmarkSpec spec = tiny_spec(71);
+  {
+    Design d = generate_benchmark(spec);
+    PlacementFlow(routability_driven_options()).run(d);
+  }
+  Design d = generate_benchmark(spec);
+  PlacementFlow after(wirelength_driven_options());
+  const FlowResult r = after.run(d);
+
+  Design fresh_d = generate_benchmark(spec);
+  FlowOptions fresh_opt = wirelength_driven_options();
+  fresh_opt.obs = std::make_shared<obs::ObsContext>();
+  PlacementFlow fresh(fresh_opt);
+  const FlowResult fr = fresh.run(fresh_d);
+  EXPECT_EQ(fr.obs, fresh_opt.obs);
+
+  const ReportShape got = report_shape(d, after.options(), r);
+  const ReportShape want = report_shape(fresh_d, fresh_opt, fr);
+  EXPECT_EQ(got.events_emitted, want.events_emitted);
+  EXPECT_EQ(got.counters, want.counters);
+  EXPECT_EQ(got.gauges, want.gauges);
 }
 
 TEST_F(FlowTest, GpTraceExposedInResult) {

@@ -173,7 +173,7 @@ TEST_F(ObsTest, ResetPreservesSlotAddresses) {
   obs::ScopedBind bind(&ctx);
   RP_COUNT("obs.test.reset", 5);
   telemetry::Counter* slot = &ctx.registry().counter("obs.test.reset");
-  ctx.reset();
+  ctx.registry().reset();
   EXPECT_EQ(slot->value, 0);
   RP_COUNT("obs.test.reset", 3);  // cached slot still valid after reset()
   EXPECT_EQ(ctx.registry().counter_value("obs.test.reset"), 3);

@@ -1,7 +1,7 @@
 // Tests for the in-process profiler: histogram bucket-edge behavior,
 // quantiles on known sample sets, the region registry's reset contract,
 // thread-pool busy/wait accounting (busy + wait == region wall per worker),
-// TraceSpan feeding the profiler, and the off-by-default guarantees (no
+// RP_SPAN feeding the profiler, and the off-by-default guarantees (no
 // "profile" block in unprofiled reports, worker tids only in traces).
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "util/obs_context.hpp"
 #include "util/parallel.hpp"
 #include "util/profiler.hpp"
 #include "util/telemetry.hpp"
@@ -20,15 +21,21 @@ namespace {
 using profiler::LatencyHistogram;
 using profiler::Profiler;
 
+/// Zero the current context's region histograms and the pool profile.
+void reset_profiles() {
+  Profiler::instance().reset();
+  parallel::reset_pool_profile();
+}
+
 /// RAII: enable the profiler for one test, restore "off" after.
 struct ProfileScope {
   ProfileScope() {
-    profiler::reset_all();
+    reset_profiles();
     profiler::set_enabled(true);
   }
   ~ProfileScope() {
     profiler::set_enabled(false);
-    profiler::reset_all();
+    reset_profiles();
   }
 };
 
@@ -138,13 +145,16 @@ TEST(Profiler, ScopedRegionRecordsOnlyWhenEnabled) {
   }
 }
 
-TEST(Profiler, TraceSpanFeedsRegionHistogramWithoutTracing) {
+TEST(Profiler, SpanFeedsRegionHistogramWithoutTracing) {
   ProfileScope on;
   ASSERT_FALSE(telemetry::trace_enabled());
   {
-    RP_TRACE_SPAN("test/span_region");
+    RP_SPAN("test");
+    RP_SPAN("span_region");
   }
+  // One sample per span, under its composed path.
   EXPECT_EQ(Profiler::instance().region("test/span_region").hist.samples, 1u);
+  EXPECT_EQ(Profiler::instance().region("test").hist.samples, 1u);
 }
 
 TEST(PoolProfile, BusyPlusWaitEqualsRegionWallPerWorker) {
@@ -195,7 +205,7 @@ TEST(PoolProfile, SingleThreadInlineRegionsAreAccounted) {
 }
 
 TEST(PoolProfile, DisabledMeansZeroAccounting) {
-  profiler::reset_all();
+  reset_profiles();
   ASSERT_FALSE(profiler::enabled());
   parallel::set_num_threads(2);
   std::vector<double> out(5000);
@@ -265,11 +275,11 @@ TEST(TraceEvents, PoolChunksCarryWorkerTids) {
 }
 
 TEST(ReportBlock, RegionRowsOnlyWhenEnabled) {
-  profiler::reset_all();
-  EXPECT_EQ(profiler::region_jsonl_rows("b", "f"), "");
+  reset_profiles();
+  EXPECT_EQ(profiler::region_jsonl_rows(Profiler::instance(), "b", "f"), "");
   ProfileScope on;
   Profiler::instance().record("test/rows", 5000);
-  const std::string rows = profiler::region_jsonl_rows("b", "f");
+  const std::string rows = profiler::region_jsonl_rows(Profiler::instance(), "b", "f");
   EXPECT_NE(rows.find("\"schema\":\"profile_region\""), std::string::npos);
   EXPECT_NE(rows.find("\"region\":\"test/rows\""), std::string::npos);
 }

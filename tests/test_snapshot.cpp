@@ -139,16 +139,21 @@ TEST(Snapshot, RecorderWritesManifestAndArtifacts) {
     ASSERT_TRUE(rec.ok());
     rec.record_grid("round1", "overflow", ramp_grid(5, 5));
     rec.record_grid("round1", "weird name/with:junk", ramp_grid(2, 2));
-    ConvergencePoint p;
+    GpTracePoint p;
+    p.level = 1;
     p.outer = 1;
     p.hpwl = 123.0;
     rec.record_point(p);
-    SnapshotRoundRecord r;
+    GpTracePoint reheat;  // level tag -2: routability round 2 at the finest level
+    reheat.level = -2;
+    reheat.gamma = 0.5;
+    rec.record_point(reheat);
+    RoutabilityRound r;
     r.round = 1;
     r.cells_inflated = 7;
     rec.record_round(r);
     EXPECT_EQ(rec.num_maps(), 2);
-    EXPECT_EQ(rec.num_points(), 1);
+    EXPECT_EQ(rec.num_points(), 2);
     EXPECT_TRUE(rec.finalize());
   }
 
@@ -173,8 +178,14 @@ TEST(Snapshot, RecorderWritesManifestAndArtifacts) {
   EXPECT_EQ(man.at("maps").arr[1].at("grid").str.find('/', 5), std::string::npos);
 
   const JsonValue conv = json_parse(slurp(dir / "convergence.json"));
-  ASSERT_EQ(conv.at("points").arr.size(), 1u);
+  ASSERT_EQ(conv.at("points").arr.size(), 2u);
   EXPECT_DOUBLE_EQ(conv.at("points").arr[0].at("hpwl").num, 123.0);
+  // level/round are derived from the level tag.
+  EXPECT_EQ(conv.at("points").arr[0].at("level").num, 1.0);
+  EXPECT_EQ(conv.at("points").arr[0].at("round").num, 0.0);
+  EXPECT_EQ(conv.at("points").arr[1].at("level").num, 0.0);
+  EXPECT_EQ(conv.at("points").arr[1].at("round").num, 2.0);
+  EXPECT_DOUBLE_EQ(conv.at("points").arr[1].at("gamma").num, 0.5);
   ASSERT_EQ(conv.at("rounds").arr.size(), 1u);
   EXPECT_EQ(conv.at("rounds").arr[0].at("cells_inflated").num, 7.0);
   fs::remove_all(dir);
@@ -267,7 +278,7 @@ TEST(ReportDiff, SnapshotDirsSelfCleanAndGridDeltaDetected) {
     SnapshotRecorder rec(opt);
     ASSERT_TRUE(rec.ok());
     rec.record_grid("round1", "overflow", ramp_grid(6, 6));
-    ConvergencePoint p;
+    GpTracePoint p;
     p.hpwl = 55.0;
     rec.record_point(p);
     ASSERT_TRUE(rec.finalize());

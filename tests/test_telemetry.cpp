@@ -1,6 +1,6 @@
 // Tests for the telemetry layer: the counter/gauge registry (including its
-// reset-between-runs contract), the trace-span buffer and its Chrome
-// trace-event JSON serialization, and peak-RSS sampling.
+// reset contract), RP_SPAN's trace events and their Chrome trace-event JSON
+// serialization, and peak-RSS sampling.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "util/json.hpp"
+#include "util/obs_context.hpp"
 #include "util/telemetry.hpp"
 
 namespace rp {
@@ -60,28 +61,29 @@ TEST(TelemetryRegistry, SnapshotsAreNameSorted) {
   for (std::size_t i = 1; i < snap.size(); ++i) EXPECT_LT(snap[i - 1].first, snap[i].first);
 }
 
-TEST(TelemetryTrace, DisabledByDefaultAndSpansAreFree) {
+TEST(TelemetryTrace, TracingOffSpansRecordNoTraceEvent) {
   telemetry::stop_trace();
   EXPECT_FALSE(telemetry::trace_enabled());
   const std::size_t before = telemetry::trace_events().size();
-  { RP_TRACE_SPAN("should_not_record"); }
+  { RP_SPAN("should_not_record"); }
   EXPECT_EQ(telemetry::trace_events().size(), before);
 }
 
 TEST(TelemetryTrace, SpansNestAndSerialize) {
   telemetry::start_trace();
   {
-    RP_TRACE_SPAN("outer");
+    RP_SPAN("outer");
     {
-      RP_TRACE_SPAN("inner");
+      RP_SPAN("inner");
     }
   }
   telemetry::stop_trace();
 
   const auto& events = telemetry::trace_events();
   ASSERT_EQ(events.size(), 2u);
-  // Children close first, so "inner" is recorded before "outer".
-  EXPECT_EQ(events[0].name, "inner");
+  // Children close first, so "inner" is recorded before "outer", named by
+  // its composed path.
+  EXPECT_EQ(events[0].name, "outer/inner");
   EXPECT_EQ(events[1].name, "outer");
   EXPECT_EQ(events[0].depth, 1);
   EXPECT_EQ(events[1].depth, 0);
@@ -116,9 +118,9 @@ TEST(TelemetryTrace, SpansNestAndSerialize) {
 
 TEST(TelemetryTrace, StartClearsPreviousBuffer) {
   telemetry::start_trace();
-  { RP_TRACE_SPAN("first_session"); }
+  { RP_SPAN("first_session"); }
   telemetry::start_trace();
-  { RP_TRACE_SPAN("second_session"); }
+  { RP_SPAN("second_session"); }
   telemetry::stop_trace();
   ASSERT_EQ(telemetry::trace_events().size(), 1u);
   EXPECT_EQ(telemetry::trace_events()[0].name, "second_session");
@@ -128,7 +130,7 @@ TEST(TelemetryTrace, WriteProducesParsableFile) {
   namespace fs = std::filesystem;
   const fs::path path = fs::temp_directory_path() / "rp_test_trace.json";
   telemetry::start_trace();
-  { RP_TRACE_SPAN("span \"with\" quotes\n"); }
+  { RP_SPAN("span \"with\" quotes\n"); }
   telemetry::stop_trace();
   ASSERT_TRUE(telemetry::write_trace_json(path.string()));
 

@@ -7,11 +7,13 @@
 #include <cstdlib>
 #include <limits>
 #include <set>
+#include <thread>
 
 #include "util/geometry.hpp"
 #include "util/grid.hpp"
 #include "util/json.hpp"
 #include "util/logger.hpp"
+#include "util/obs_context.hpp"
 #include "util/rng.hpp"
 #include "util/str.hpp"
 #include "util/timer.hpp"
@@ -384,15 +386,21 @@ TEST(StageTimes, AccumulatesByName) {
   EXPECT_NE(st.report().find("gp"), std::string::npos);
 }
 
-TEST(StageTimes, NestedScopedStagesComposePaths) {
-  StageTimes st;
+TEST(StageTimes, NestedSpansComposePaths) {
+  obs::ObsContext ctx;
+  obs::ScopedBind bind(&ctx);
   {
-    ScopedStage outer(st, "gp");
+    RP_SPAN("gp");
+    EXPECT_EQ(ctx.span_path(), "gp");
     {
-      ScopedStage inner(st, "level2");
-      ScopedStage leaf(st, "solve");
+      RP_SPAN("level2");
+      RP_SPAN("solve");
+      EXPECT_EQ(ctx.span_path(), "gp/level2/solve");
     }
+    EXPECT_EQ(ctx.span_path(), "gp");
   }
+  EXPECT_EQ(ctx.span_path(), "");
+  const StageTimes& st = ctx.stage_times();
   EXPECT_GT(st.get("gp"), 0.0);
   EXPECT_GT(st.get("gp/level2"), 0.0);
   EXPECT_GT(st.get("gp/level2/solve"), 0.0);
@@ -426,16 +434,55 @@ TEST(StageTimes, ImplicitParentSumsChildren) {
   EXPECT_NE(rep.find("3.00s"), std::string::npos);  // synthesized parent sum
 }
 
-TEST(StageTimes, MergeSplicesUnderPrefix) {
-  StageTimes inner;
-  inner.add("clustering", 0.25);
-  inner.add("level0", 1.0);
-  StageTimes outer;
-  outer.add("global", 1.5);
-  outer.merge("global", inner);
-  EXPECT_DOUBLE_EQ(outer.get("global/clustering"), 0.25);
-  EXPECT_DOUBLE_EQ(outer.get("global/level0"), 1.0);
-  EXPECT_DOUBLE_EQ(outer.total(), 1.5);
+TEST(StageTimes, SinceReadsGrowthUnderPrefix) {
+  StageTimes st;
+  st.add("estimate", 0.5);  // earlier work, not added to again
+  st.add("global/level0", 1.0);
+  const StageTimes before = st;
+  st.add("global/clustering", 0.25);
+  st.add("global/level0", 2.0);
+  st.add("global", 3.5);
+  st.add("legal", 0.75);
+  const StageTimes gp = st.since(before, "global");
+  ASSERT_EQ(gp.entries().size(), 2u);
+  EXPECT_DOUBLE_EQ(gp.get("clustering"), 0.25);
+  EXPECT_DOUBLE_EQ(gp.get("level0"), 2.0);  // only what grew since `before`
+  const StageTimes all = st.since(before, "");
+  EXPECT_DOUBLE_EQ(all.get("global"), 3.5);
+  EXPECT_DOUBLE_EQ(all.get("legal"), 0.75);
+  EXPECT_DOUBLE_EQ(all.get("estimate"), 0.0);  // untouched since `before`
+  EXPECT_DOUBLE_EQ(all.total(), 4.25);
+}
+
+TEST(StageTimes, SpanRecordsDepthAndTraceOnlyWhenTracing) {
+  obs::ObsContext ctx;
+  obs::ScopedBind bind(&ctx);
+  { RP_SPAN("untraced"); }
+  EXPECT_TRUE(ctx.trace().events().empty());  // tracing off: no trace event
+  EXPECT_GT(ctx.stage_times().get("untraced"), 0.0);  // ...but still timed
+  ctx.trace().start();
+  {
+    RP_SPAN("a");
+    RP_SPAN("b");
+  }
+  ctx.trace().stop();
+  const auto& ev = ctx.trace().events();
+  ASSERT_EQ(ev.size(), 2u);
+  EXPECT_EQ(ev[0].name, "a/b");
+  EXPECT_EQ(ev[0].depth, 1);
+  EXPECT_EQ(ev[1].name, "a");
+  EXPECT_EQ(ev[1].depth, 0);
+}
+
+TEST(StageTimesDeathTest, SpanClosedOnAnotherThreadAsserts) {
+  EXPECT_DEATH(
+      {
+        obs::ObsContext ctx;
+        obs::ScopedBind bind(&ctx);
+        auto* span = new obs::Span("moved");
+        std::thread([span] { delete span; }).join();
+      },
+      "different thread");
 }
 
 TEST(StageTimes, FlatReportKeepsLegacyShape) {
