@@ -19,6 +19,8 @@ Runs `routplace --gen ... --profile --report-json ... --trace-json ...
     round, plus per-worker pool/chunk spans on named worker lanes; every
     main-lane span name must be a report stage_times key and every
     stage_times key must have at least one span (both come from RP_SPAN);
+    every pool/chunk event has category "pool" and every span "flow",
+    whichever lane it rides;
   * the snapshot directory: manifest schema, grid-file sizes matching the
     declared dimensions, and the convergence history schema;
   * the failure contract (schema v3): a malformed Bookshelf benchmark must
@@ -182,6 +184,7 @@ def validate_trace(trace, stage_times, gp_levels, rounds, threads):
     span_counts = {}  # main-lane span name -> number of spans
     chunk_tids = set()
     thread_names = {}
+    bad_cats = {}  # (event kind, wrong cat) -> count
     for e in events:
         if e.get("ph") == "M":
             expect_keys(e, ["name", "ph", "pid", "tid", "args"], "trace metadata")
@@ -191,6 +194,12 @@ def validate_trace(trace, stage_times, gp_levels, rounds, threads):
         expect_keys(e, ["name", "ph", "ts", "dur", "pid", "tid"], "trace event")
         if "ph" in e:
             check(e["ph"] == "X", f"trace event '{e.get('name')}' not a complete event")
+        # The category follows the event, not its lane (worker 0 runs
+        # chunks on lane 0 beside the spans).
+        want_cat = "pool" if e.get("name") == "pool/chunk" else "flow"
+        if e.get("cat") != want_cat:
+            key = (e.get("name") if want_cat == "pool" else "span", e.get("cat"))
+            bad_cats[key] = bad_cats.get(key, 0) + 1
         if e.get("name") == "pool/chunk":
             chunk_tids.add(e.get("tid"))
         else:
@@ -198,6 +207,9 @@ def validate_trace(trace, stage_times, gp_levels, rounds, threads):
                   f"trace: main-thread span '{e.get('name')}' on lane {e.get('tid')}")
             span_counts[e.get("name")] = span_counts.get(e.get("name"), 0) + 1
         names.add(e.get("name"))
+    for (kind, cat), n in sorted(bad_cats.items()):
+        check(False, f"trace: {n} '{kind}' events in category {cat!r} "
+                     f"(pool/chunk must be 'pool', spans 'flow')")
     for stage in ("global", "macro_legal", "legal", "detailed", "eval"):
         check(stage in names, f"trace: missing flow-stage span '{stage}'")
     for lvl in range(gp_levels):

@@ -6,7 +6,9 @@
 #     right reason (no data races hiding behind x86's strong memory model).
 #  2. Build the Bookshelf fuzzer under ASan/UBSan and run the seeded mutation
 #     corpus, so parser robustness bugs (overflows, OOB reads on truncated
-#     records) fail loudly instead of silently corrupting the Design.
+#     records) fail loudly instead of silently corrupting the Design; run the
+#     robustness, SIMD, model, solver, DP and serve suites under the same
+#     build.
 #
 # Usage: scripts/tsan_check.sh [build-dir] [asan-build-dir]
 #        (defaults: build-tsan build-asan)
@@ -41,7 +43,8 @@ cmake -B "$ASAN_BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DRP_SANITIZE=address,undefined
 cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" \
-  --target rp_fuzz_bookshelf test_robustness test_simd test_dp test_serve
+  --target rp_fuzz_bookshelf test_robustness test_simd test_dp test_serve \
+           test_model test_solver
 
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=0:${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1:${UBSAN_OPTIONS:-}"
@@ -53,6 +56,13 @@ echo "== ASan/UBSan: test_robustness =="
 # suites under ASan/UBSan so a bad lane or stale scratch fails loudly.
 echo "== ASan/UBSan: test_simd =="
 "$ASAN_BUILD_DIR/tests/test_simd"
+# The objective's gradient() reads state its value() left behind (density
+# pass-1 normalizations and residuals, per-pin wirelength gradients): run the
+# model and solver suites so a stale or short read of that state fails loudly.
+for t in test_model test_solver; do
+  echo "== ASan/UBSan: $t =="
+  "$ASAN_BUILD_DIR/tests/$t"
+done
 echo "== ASan/UBSan: test_dp =="
 "$ASAN_BUILD_DIR/tests/test_dp"
 # The rp_serve protocol parser chews hostile wire input; run its suite (which

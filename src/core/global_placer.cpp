@@ -104,10 +104,11 @@ GlobalPlacer::LevelResult GlobalPlacer::place_level(PlaceProblem& prob,
   cgo.f_rel_tol = 1e-5;
   cgo.max_backtracks = 4;
 
-  // Stage label for numeric-guard diagnostics ("gp/level2", "gp/reheat1").
-  const std::string stage = level_tag >= 0
-                                ? "gp/level" + std::to_string(level_tag)
-                                : "gp/reheat" + std::to_string(-level_tag);
+  // The solver values every line-search trial and takes the gradient only
+  // at accepted steps. Numeric-guard diagnostics name the open span path
+  // (global/level<k>, global/level0/routability).
+  const CgObjective f{[&](std::span<const double> z) { return obj.value(z); },
+                      [&](std::span<double> g) { obj.gradient(g); }};
 
   // Wirelength-only warm start (few iterations, λ = 0).
   if (wl_warm_start) {
@@ -116,9 +117,7 @@ GlobalPlacer::LevelResult GlobalPlacer::place_level(PlaceProblem& prob,
     std::vector<double> z = obj.pack();
     CgOptions warm = cgo;
     warm.max_iters = opt_.cg_iters / 2;
-    minimize_cg_guarded([&](std::span<const double> zz, std::span<double> g) {
-      return obj.eval(zz, g);
-    }, z, warm, stage + "/warm");
+    minimize_cg_in_span(f, z, warm);
     obj.unpack(z);
   }
 
@@ -135,9 +134,7 @@ GlobalPlacer::LevelResult GlobalPlacer::place_level(PlaceProblem& prob,
     obj.set_lambda(lambda);
 
     std::vector<double> z = obj.pack();
-    minimize_cg_guarded([&](std::span<const double> zz, std::span<double> g) {
-      return obj.eval(zz, g);
-    }, z, cgo, stage);
+    minimize_cg_in_span(f, z, cgo);
     obj.unpack(z);
 
     ++outers_done_;

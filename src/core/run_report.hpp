@@ -64,7 +64,7 @@ struct RunErrorInfo {
   std::string code;      ///< "ParseError" | "ValidationError" | ...
   std::string message;
   std::string where;     ///< Failing file:line (input or source).
-  std::string stage;     ///< Pipeline stage ("parse", "gp/level2", ...).
+  std::string stage;     ///< Pipeline stage ("parse", "global/level2", ...).
   int exit_code = 0;
 
   static RunErrorInfo from(const Error& e) {

@@ -114,8 +114,12 @@ void DensityModel::apply_capacity_scale(const Grid2D<double>& scale) {
 
 double DensityModel::eval(const PlaceProblem& p, std::span<double> gx,
                           std::span<double> gy) {
-  if (gx.size() != p.nodes.size() || gy.size() != p.nodes.size())
-    throw std::runtime_error("density eval: gradient span size mismatch");
+  const double penalty = value(p);
+  gradient(p, gx, gy);
+  return penalty;
+}
+
+double DensityModel::value(const PlaceProblem& p) {
   RP_PROFILE_REGION("kernel/density");
   const int nx = grid_.nx(), ny = grid_.ny();
   const double bw = grid_.bin_w(), bh = grid_.bin_h();
@@ -196,6 +200,20 @@ double DensityModel::eval(const PlaceProblem& p, std::span<double> gx,
         return part;
       },
       [](double a, double b) { return a + b; });
+  return penalty;
+}
+
+void DensityModel::gradient(const PlaceProblem& p, std::span<double> gx,
+                            std::span<double> gy) {
+  const auto nn = static_cast<std::size_t>(p.num_nodes());
+  RP_ASSERT(csum_.size() == nn, "density gradient() without a value() on this problem");
+  if (gx.size() != nn || gy.size() != nn)
+    throw std::runtime_error("density gradient: span size mismatch");
+  RP_PROFILE_REGION("kernel/density_grad");
+  const int nx = grid_.nx(), ny = grid_.ny();
+  const double bw = grid_.bin_w(), bh = grid_.bin_h();
+  const auto workers = static_cast<std::size_t>(parallel::num_threads());
+  if (row_scratch_.size() < workers) row_scratch_.resize(workers);
 
   // Pass 2: gradients.  dN/dx_v = Σ_b 2·R_b · c_v · px'(cx-xb) · py.
   // Embarrassingly parallel: every node writes only its own gradient slot.
@@ -233,7 +251,6 @@ double DensityModel::eval(const PlaceProblem& p, std::span<double> gx,
       gy[uv] += dgy;
     }
   });
-  return penalty;
 }
 
 Grid2D<double> DensityModel::rasterized_density(const PlaceProblem& p) const {

@@ -33,8 +33,18 @@ class DensityModel {
  public:
   DensityModel(const PlaceProblem& p, const DensityConfig& cfg);
 
-  /// Penalty value; accumulates d(penalty)/dx into gx/gy (movable nodes only).
+  /// Penalty value; accumulates d(penalty)/dx into gx/gy (movable nodes
+  /// only). Exactly value(p) followed by gradient(p, gx, gy).
   double eval(const PlaceProblem& p, std::span<double> gx, std::span<double> gy);
+
+  /// Penalty value alone (pass 1: smoothed density, bin residuals, penalty).
+  /// Keeps the per-node normalizations and the residual grid for gradient().
+  double value(const PlaceProblem& p);
+
+  /// Pass 2: accumulates d(penalty)/dx into gx/gy at the placement of the
+  /// last value() call, from the state that call left (p must still hold
+  /// that placement).
+  void gradient(const PlaceProblem& p, std::span<double> gx, std::span<double> gy);
 
   /// Exact total overflow: Σ_b (rasterized_D_b - C_b)^+ / movable area.
   double overflow(const PlaceProblem& p) const;
@@ -62,12 +72,12 @@ class DensityModel {
   Grid2D<double> cap_;         ///< Capacity per bin.
   Grid2D<double> scale_;       ///< External capacity scaling (default 1).
   Grid2D<double> dens_;        ///< Scratch: smoothed density per bin.
-  Grid2D<double> resid_;       ///< Scratch: (D-C)^+ per bin.
+  Grid2D<double> resid_;       ///< (D-C)^+ per bin (value → gradient).
   // Parallel pass-1 scratch: one accumulation grid per node CHUNK (chunking
   // depends only on the node count, so the chunk-ordered reduction into
   // dens_ is bitwise identical for any thread count).
   std::vector<Grid2D<double>> chunk_dens_;
-  std::vector<double> csum_;   ///< Per-node bell normalization (pass 1 → 2).
+  std::vector<double> csum_;   ///< Per-node bell normalization (value → gradient).
 
   // Per-worker row buffers for the dispatched simd kernels: each node's
   // bell potential (and derivative) is sampled once per grid ROW into these

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/assert.hpp"
 #include "util/profiler.hpp"
 
 namespace rp {
@@ -30,6 +31,7 @@ std::vector<double> PlacementObjective::pack() const {
 void PlacementObjective::unpack(std::span<const double> z) {
   if (static_cast<int>(z.size()) != dim())
     throw std::runtime_error("objective unpack: dimension mismatch");
+  valued_ = false;
   const std::size_t m = movable_.size();
   for (std::size_t i = 0; i < m; ++i) {
     p_.x[static_cast<std::size_t>(movable_[i])] = z[i];
@@ -39,31 +41,44 @@ void PlacementObjective::unpack(std::span<const double> z) {
 }
 
 double PlacementObjective::eval(std::span<const double> z, std::span<double> grad) {
+  const double f = value(z);
+  gradient(grad);
+  return f;
+}
+
+double PlacementObjective::value(std::span<const double> z) {
   RP_PROFILE_REGION("kernel/objective");
   unpack(z);
+  last_wl_ = wl_.value(p_);
+  last_density_ = lambda_ != 0.0 ? dens_.value(p_) : 0.0;
+  valued_ = true;
+  return last_wl_ + lambda_ * last_density_;
+}
+
+void PlacementObjective::gradient(std::span<double> grad) {
+  RP_ASSERT(valued_, "objective gradient() without a preceding value()");
+  RP_PROFILE_REGION("kernel/objective_grad");
   std::fill(gx_.begin(), gx_.end(), 0.0);
   std::fill(gy_.begin(), gy_.end(), 0.0);
-  last_wl_ = wl_.eval(p_, gx_, gy_);
+  wl_.gradient(gx_, gy_);
   const std::size_t m = movable_.size();
   if (lambda_ != 0.0) {
     // Wirelength gradient packed first, then density added on top with λ.
     dx_.assign(p_.nodes.size(), 0.0);
     dy_.assign(p_.nodes.size(), 0.0);
-    last_density_ = dens_.eval(p_, dx_, dy_);
+    dens_.gradient(p_, dx_, dy_);
     for (std::size_t i = 0; i < m; ++i) {
       const auto v = static_cast<std::size_t>(movable_[i]);
       grad[i] = gx_[v] + lambda_ * dx_[v];
       grad[m + i] = gy_[v] + lambda_ * dy_[v];
     }
   } else {
-    last_density_ = 0.0;
     for (std::size_t i = 0; i < m; ++i) {
       const auto v = static_cast<std::size_t>(movable_[i]);
       grad[i] = gx_[v];
       grad[m + i] = gy_[v];
     }
   }
-  return last_wl_ + lambda_ * last_density_;
 }
 
 double PlacementObjective::balanced_lambda() {

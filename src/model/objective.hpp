@@ -28,14 +28,25 @@ class PlacementObjective {
   /// Write a packed vector into the problem (and clamp to the die).
   void unpack(std::span<const double> z);
 
-  /// f(z) and its gradient. Also records the last separate WL / density
-  /// values for diagnostics.
+  /// f(z) and its gradient: value(z), then gradient(grad).
   double eval(std::span<const double> z, std::span<double> grad);
+
+  /// f(z) alone: unpacks z and runs the WL and density value passes, which
+  /// keep what gradient() needs. Also records the separate WL / density
+  /// values for diagnostics.
+  double value(std::span<const double> z);
+
+  /// ∇f at the z of the last value() call, packed like z. Asserts that a
+  /// value() came first, with no unpack() or λ change in between.
+  void gradient(std::span<double> grad);
 
   /// λ such that ||∂WL||₁ == λ·||∂N||₁ at the current coordinates.
   double balanced_lambda();
 
-  void set_lambda(double l) { lambda_ = l; }
+  void set_lambda(double l) {
+    lambda_ = l;
+    valued_ = false;
+  }
   double lambda() const { return lambda_; }
 
   double last_wl() const { return last_wl_; }
@@ -53,6 +64,7 @@ class PlacementObjective {
   double lambda_ = 0.0;
   double last_wl_ = 0.0;
   double last_density_ = 0.0;
+  bool valued_ = false;  // value() ran, and neither z nor λ changed since
   std::vector<double> gx_, gy_;  // full-size scratch gradients
   std::vector<double> dx_, dy_;  // density-gradient scratch (λ != 0 path)
 };

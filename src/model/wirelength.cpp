@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/assert.hpp"
 #include "util/parallel.hpp"
 #include "util/profiler.hpp"
 #include "util/simd.hpp"
@@ -31,7 +32,7 @@ void exp_both_sides(const double* c, std::size_t un, double mn, double mx,
 }
 
 /// One axis of one net under LSE over c[0..n). Returns the net's smoothed
-/// extent; when dc != nullptr writes dWL/d(pin coordinate) per pin.
+/// extent and writes dWL/d(pin coordinate) per pin into dc.
 double lse_axis(const double* c, int n, double gamma, double* dc, WlThreadScratch& s) {
   const auto un = static_cast<std::size_t>(n);
   const simd::Ops& ops = simd::ops();
@@ -41,7 +42,7 @@ double lse_axis(const double* c, int n, double gamma, double* dc, WlThreadScratc
   exp_both_sides(c, un, mn, mx, 1.0 / gamma, s);
   const double sp = ops.sum(s.ep.data(), un);
   const double sm = ops.sum(s.em.data(), un);
-  if (dc != nullptr) ops.lse_grad(s.ep.data(), s.em.data(), un, 1.0 / sp, 1.0 / sm, dc);
+  ops.lse_grad(s.ep.data(), s.em.data(), un, 1.0 / sp, 1.0 / sm, dc);
   return (mx - mn) + gamma * (std::log(sp) + std::log(sm));
 }
 
@@ -61,26 +62,22 @@ double wa_axis(const double* c, int n, double gamma, double* dc, WlThreadScratch
   const double xmax = wsp / sp;  // smoothed max
   const double xmin = wsm / sm;  // smoothed min
   // d(xmax)/dci = e_i (1 + (c_i - xmax)·ig) / sp ; analogously for xmin.
-  if (dc != nullptr)
-    ops.wa_grad(c, s.ep.data(), s.em.data(), un, xmax, xmin, ig, 1.0 / sp,
-                1.0 / sm, dc);
+  ops.wa_grad(c, s.ep.data(), s.em.data(), un, xmax, xmin, ig, 1.0 / sp,
+              1.0 / sm, dc);
   return xmax - xmin;
 }
 
-/// Parallel net-chunk evaluation. With WithGrad, per-pin gradients land in
-/// csr.pin_gx/pin_gy (each pin written by exactly one chunk) and a second
-/// parallel pass gathers them into gx/gy per node in ascending pin order —
-/// both passes bitwise independent of the thread count.
-template <bool WithGrad, typename AxisFn>
-double eval_csr(const PlaceProblem& p, NetlistCsr& c,
-                std::vector<WlThreadScratch>& scratch, std::span<double> gx,
-                std::span<double> gy, double gamma, AxisFn&& axis) {
-  if (WithGrad && (gx.size() != p.nodes.size() || gy.size() != p.nodes.size()))
-    throw std::runtime_error("wirelength eval: gradient span size mismatch");
+/// Parallel net-chunk value pass. Every net writes its per-pin gradients
+/// into csr.pin_gx/pin_gy (each pin written by exactly one chunk) while its
+/// exps are live; the value is reduced in fixed chunk order — bitwise
+/// independent of the thread count.
+template <typename AxisFn>
+double value_csr(const PlaceProblem& p, NetlistCsr& c,
+                 std::vector<WlThreadScratch>& scratch, double gamma, AxisFn&& axis) {
   RP_PROFILE_REGION("kernel/wirelength");
   c.gather_coords(p);
   const auto nets = static_cast<std::size_t>(c.num_nets);
-  const double total = parallel::parallel_reduce(
+  return parallel::parallel_reduce(
       nets, kNetGrain, 0.0,
       [&](std::size_t b, std::size_t e, int worker) -> double {
         WlThreadScratch& s = scratch[static_cast<std::size_t>(worker)];
@@ -88,21 +85,16 @@ double eval_csr(const PlaceProblem& p, NetlistCsr& c,
         for (std::size_t n = b; n < e; ++n) {
           const int off = c.net_offset[n];
           const int deg = c.net_offset[n + 1] - off;
-          const auto uoff = static_cast<std::size_t>(off);
+          double* dgx = c.pin_gx.data() + off;
+          double* dgy = c.pin_gy.data() + off;
           if (deg < 2) {
-            if (WithGrad)
-              for (int i = 0; i < deg; ++i) {
-                c.pin_gx[uoff + static_cast<std::size_t>(i)] = 0.0;
-                c.pin_gy[uoff + static_cast<std::size_t>(i)] = 0.0;
-              }
+            for (int i = 0; i < deg; ++i) dgx[i] = dgy[i] = 0.0;
             continue;
           }
           const double w = c.net_weight[n];
-          double* dgx = WithGrad ? c.pin_gx.data() + off : nullptr;
-          double* dgy = WithGrad ? c.pin_gy.data() + off : nullptr;
           part += w * axis(c.pin_cx.data() + off, deg, gamma, dgx, s);
           part += w * axis(c.pin_cy.data() + off, deg, gamma, dgy, s);
-          if (WithGrad && w != 1.0)
+          if (w != 1.0)
             for (int i = 0; i < deg; ++i) {
               dgx[i] *= w;
               dgy[i] *= w;
@@ -111,26 +103,6 @@ double eval_csr(const PlaceProblem& p, NetlistCsr& c,
         return part;
       },
       [](double a, double b) { return a + b; });
-
-  if (WithGrad) {
-    parallel::parallel_for(
-        static_cast<std::size_t>(c.num_nodes), kNodeGrain,
-        [&](std::size_t b, std::size_t e, int) {
-          for (std::size_t v = b; v < e; ++v) {
-            const int k0 = c.node_pin_offset[v];
-            const int k1 = c.node_pin_offset[v + 1];
-            double sx = 0.0, sy = 0.0;
-            for (int k = k0; k < k1; ++k) {
-              const auto pin = static_cast<std::size_t>(c.node_pin[static_cast<std::size_t>(k)]);
-              sx += c.pin_gx[pin];
-              sy += c.pin_gy[pin];
-            }
-            gx[v] += sx;
-            gy[v] += sy;
-          }
-        });
-  }
-  return total;
 }
 
 }  // namespace
@@ -153,22 +125,46 @@ NetlistCsr& WirelengthModel::prepare(const PlaceProblem& p) const {
   return csr_;
 }
 
-double LseWirelength::eval(const PlaceProblem& p, std::span<double> gx,
-                           std::span<double> gy) const {
-  return eval_csr<true>(p, prepare(p), scratch(), gx, gy, gamma_, lse_axis);
+double WirelengthModel::eval(const PlaceProblem& p, std::span<double> gx,
+                             std::span<double> gy) const {
+  const double v = value(p);
+  gradient(gx, gy);
+  return v;
+}
+
+void WirelengthModel::gradient(std::span<double> gx, std::span<double> gy) const {
+  RP_ASSERT(csr_valid_, "wirelength gradient() without a value()");
+  const NetlistCsr& c = csr_;
+  if (gx.size() != static_cast<std::size_t>(c.num_nodes) ||
+      gy.size() != static_cast<std::size_t>(c.num_nodes))
+    throw std::runtime_error("wirelength gradient: span size mismatch");
+  RP_PROFILE_REGION("kernel/wirelength_grad");
+  // Per node, sum its pins' slots in ascending pin order — the order a
+  // sequential walk over nets would accumulate them.
+  parallel::parallel_for(
+      static_cast<std::size_t>(c.num_nodes), kNodeGrain,
+      [&](std::size_t b, std::size_t e, int) {
+        for (std::size_t v = b; v < e; ++v) {
+          const int k0 = c.node_pin_offset[v];
+          const int k1 = c.node_pin_offset[v + 1];
+          double sx = 0.0, sy = 0.0;
+          for (int k = k0; k < k1; ++k) {
+            const auto pin = static_cast<std::size_t>(c.node_pin[static_cast<std::size_t>(k)]);
+            sx += c.pin_gx[pin];
+            sy += c.pin_gy[pin];
+          }
+          gx[v] += sx;
+          gy[v] += sy;
+        }
+      });
 }
 
 double LseWirelength::value(const PlaceProblem& p) const {
-  return eval_csr<false>(p, prepare(p), scratch(), {}, {}, gamma_, lse_axis);
-}
-
-double WaWirelength::eval(const PlaceProblem& p, std::span<double> gx,
-                          std::span<double> gy) const {
-  return eval_csr<true>(p, prepare(p), scratch(), gx, gy, gamma_, wa_axis);
+  return value_csr(p, prepare(p), scratch(), gamma_, lse_axis);
 }
 
 double WaWirelength::value(const PlaceProblem& p) const {
-  return eval_csr<false>(p, prepare(p), scratch(), {}, {}, gamma_, wa_axis);
+  return value_csr(p, prepare(p), scratch(), gamma_, wa_axis);
 }
 
 std::unique_ptr<WirelengthModel> make_wirelength_model(const std::string& name,

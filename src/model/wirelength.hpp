@@ -13,18 +13,24 @@
 // Both implementations subtract the per-net max/min before exponentiating,
 // so they are numerically stable for any γ down to ~1e-3 of the die size.
 //
-// eval() returns the model value and ACCUMULATES dWL/dx into grad arrays
-// (callers zero them). Gradients flow to every node, fixed included; the
-// solver masks fixed nodes.
+// Evaluation is split in two passes so a caller can pay for the value alone:
+//  * value(p) runs the per-net exps, returns the model value, and while the
+//    exps are live writes each pin's dWL/d(pin coordinate) into the CSR's
+//    pin_gx/pin_gy slots (elementwise, cheap; no per-net state is kept);
+//  * gradient(gx, gy) is only the node gather of those slots, so it yields
+//    the gradient at the placement of the LAST value() call. It ACCUMULATES
+//    dWL/dx into gx/gy (callers zero them).
+// eval() is exactly value() then gradient(). Gradients flow to every node,
+// fixed included; the solver masks fixed nodes.
 //
-// Evaluation is parallel over net chunks through util/parallel on a CSR
-// flattening of the netlist (model/netlist_csr.hpp): each net writes its
-// per-pin gradients into pin-owned slots (race-free), the value is reduced
-// in fixed chunk order, and a second parallel pass gathers per-node
-// gradients over each node's pin list in ascending pin order — so results
-// are bitwise identical for any thread count. The CSR view and per-thread
-// exp scratch live in the model and are rebuilt only when the problem
-// shape (node/pin/net counts) changes; steady-state evals allocate nothing.
+// Both passes are parallel through util/parallel on a CSR flattening of the
+// netlist (model/netlist_csr.hpp): each net writes its per-pin gradients
+// into pin-owned slots (race-free), the value is reduced in fixed chunk
+// order, and the gather sums each node's pins in ascending pin order — so
+// results are bitwise identical for any thread count. The CSR view and
+// per-thread exp scratch live in the model and are rebuilt only when the
+// problem shape (node/pin/net counts) changes; steady-state evals allocate
+// nothing.
 
 #include <memory>
 #include <span>
@@ -59,11 +65,15 @@ class WirelengthModel {
  public:
   virtual ~WirelengthModel() = default;
   virtual std::string name() const = 0;
-  /// Smoothed wirelength + gradient accumulation. gx/gy sized num_nodes.
-  virtual double eval(const PlaceProblem& p, std::span<double> gx,
-                      std::span<double> gy) const = 0;
-  /// Value only — skips every gradient store and the node gather pass.
+  /// Smoothed wirelength + gradient accumulation: value(p), then
+  /// gradient(gx, gy). gx/gy sized num_nodes.
+  double eval(const PlaceProblem& p, std::span<double> gx, std::span<double> gy) const;
+  /// Value pass: the smoothed wirelength; leaves per-pin gradients for
+  /// gradient().
   virtual double value(const PlaceProblem& p) const = 0;
+  /// Node gather: accumulates dWL/dx at the last value()'s placement into
+  /// gx/gy (sized num_nodes of that problem).
+  void gradient(std::span<double> gx, std::span<double> gy) const;
 
   virtual void set_gamma(double g) { gamma_ = g; }
   double gamma() const { return gamma_; }
@@ -86,8 +96,6 @@ class LseWirelength final : public WirelengthModel {
  public:
   explicit LseWirelength(double gamma = 1.0) { gamma_ = gamma; }
   std::string name() const override { return "LSE"; }
-  double eval(const PlaceProblem& p, std::span<double> gx,
-              std::span<double> gy) const override;
   double value(const PlaceProblem& p) const override;
 };
 
@@ -95,8 +103,6 @@ class WaWirelength final : public WirelengthModel {
  public:
   explicit WaWirelength(double gamma = 1.0) { gamma_ = gamma; }
   std::string name() const override { return "WA"; }
-  double eval(const PlaceProblem& p, std::span<double> gx,
-              std::span<double> gy) const override;
   double value(const PlaceProblem& p) const override;
 };
 

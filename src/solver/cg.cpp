@@ -56,10 +56,11 @@ CgResult minimize_cg(const CgObjective& f, std::vector<double>& z, const CgOptio
   RP_ASSERT(!z.empty(), "minimize_cg on empty vector");
   RP_PROFILE_REGION("kernel/cg");
   const std::size_t n = z.size();
-  std::vector<double> g(n), g_prev(n), d(n), z_trial(n), g_trial(n);
+  std::vector<double> g(n), g_prev(n), d(n), z_trial(n);
 
   CgResult res;
-  double fz = f(z, g);
+  double fz = f.value(z);
+  f.gradient(g);
   res.f = fz;
   parallel::parallel_for(n, kVecGrain, [&](std::size_t b, std::size_t e, int) {
     simd::ops().neg(g.data() + b, e - b, d.data() + b);
@@ -78,7 +79,7 @@ CgResult minimize_cg(const CgObjective& f, std::vector<double>& z, const CgOptio
     bool accepted = false;
     for (int bt = 0; bt <= opt.max_backtracks; ++bt) {
       axpy_into(z_trial, z, alpha, d);
-      f_new = f(z_trial, g_trial);
+      f_new = f.value(z_trial);
       if (f_new <= fz || bt == opt.max_backtracks) {
         accepted = true;
         break;
@@ -87,8 +88,9 @@ CgResult minimize_cg(const CgObjective& f, std::vector<double>& z, const CgOptio
     }
     if (!accepted) break;
 
+    // The accepted trial is the point valued last: finish its gradient.
     g_prev.swap(g);
-    g.swap(g_trial);
+    f.gradient(g);
     z.swap(z_trial);
 
     const double f_prev = fz;
@@ -184,6 +186,11 @@ CgResult minimize_cg_guarded(const CgObjective& f, std::vector<double>& z,
   throw Error(ErrorCode::NumericError,
               "non-finite coordinates/objective survived restore-and-retry",
               "cg.cpp:guard", stage);
+}
+
+CgResult minimize_cg_in_span(const CgObjective& f, std::vector<double>& z,
+                             const CgOptions& opt) {
+  return minimize_cg_guarded(f, z, opt, obs::current().span_path());
 }
 
 }  // namespace rp

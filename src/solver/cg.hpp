@@ -8,6 +8,14 @@
 // trust radius (typically one density-bin width), with backtracking only if
 // the objective increases. PR+ restarts (β clamped at 0) keep directions
 // descent-safe under this inexact search.
+//
+// Cost model. The objective is a pair: value(z) evaluates f at z and keeps
+// what the gradient needs; gradient(g) finishes ∇f at the point valued
+// LAST. The backtracking loop only values its trials — a rejected trial
+// costs the value pass alone — and gradient() runs once at the start of a
+// solve and once per accepted step (the accepted trial is always the one
+// valued last). A solve of k iterations with t trials in all therefore
+// costs t + 1 value passes and k + 1 gradient passes at most.
 
 #include <functional>
 #include <span>
@@ -30,8 +38,13 @@ struct CgResult {
   bool converged = false;
 };
 
-/// Objective callback: f(z, grad) -> value, fills grad (same size as z).
-using CgObjective = std::function<double(std::span<const double>, std::span<double>)>;
+/// The objective as a value/gradient pair (see the cost model above):
+/// value(z) returns f(z); gradient(g) fills g (same size as z) with ∇f at
+/// the z of the most recent value() call.
+struct CgObjective {
+  std::function<double(std::span<const double>)> value;
+  std::function<void(std::span<double>)> gradient;
+};
 
 /// Minimize starting from z (updated in place).
 CgResult minimize_cg(const CgObjective& f, std::vector<double>& z, const CgOptions& opt);
@@ -45,10 +58,16 @@ struct GuardStats {
 /// minimize_cg with numeric guard rails: if the solve leaves any NaN/Inf in
 /// z, restore the last-good z, halve the trust radius, and retry ONCE; a
 /// second non-finite result restores z and throws rp::Error(NumericError).
-/// `stage` names the caller for the error's stage field ("gp/level2", ...).
+/// `stage` names the caller for the error's stage field ("global/level2", ...).
 /// Bitwise-deterministic: the guard only inspects values the solve produced.
 CgResult minimize_cg_guarded(const CgObjective& f, std::vector<double>& z,
                              const CgOptions& opt, const std::string& stage,
                              GuardStats* guard = nullptr);
+
+/// minimize_cg_guarded with the stage named by the current context's open
+/// span path ("global/level2", "global/level0/routability"), so a
+/// NumericError and its guard events name a stage_times key.
+CgResult minimize_cg_in_span(const CgObjective& f, std::vector<double>& z,
+                             const CgOptions& opt);
 
 }  // namespace rp

@@ -22,7 +22,7 @@
 // An Error carries machine-readable context next to the human message:
 // `where` is the failing location — input `file:line` for parse errors, the
 // C++ source `file:line` otherwise — and `stage` is the pipeline stage that
-// was executing ("parse", "gp/level2", "legal", ...). Both land in the run
+// was executing ("parse", "global/level2", "legal", ...). Both land in the run
 // report's "error" block so a failed run is diagnosable from the report
 // alone. Use RP_THROW for source-located throws; BsReader::fail() builds the
 // input-located ParseErrors.

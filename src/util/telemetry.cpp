@@ -126,7 +126,9 @@ std::string trace_json() {
   for (const TraceEvent& e : events) {
     w.begin_object();
     w.kv("name", e.name);
-    w.kv("cat", e.tid == 0 ? "flow" : "pool");
+    // The category follows the event, not its lane: worker 0 is the
+    // submitting thread, so its pool chunks share lane 0 with the spans.
+    w.kv("cat", e.name.starts_with("pool/") ? "pool" : "flow");
     w.kv("ph", "X");
     w.kv("ts", e.ts_us);
     w.kv("dur", e.dur_us);

@@ -388,5 +388,28 @@ TEST(Objective, BalancedLambdaEquatesGradientNorms) {
   EXPECT_TRUE(std::isfinite(lam));
 }
 
+TEST(ObjectiveDeathTest, GradientWithoutValueAsserts) {
+  // gradient() finishes the value pass's state; without a value() at the
+  // current coordinates and λ it would read stale or empty state.
+  PlaceProblem p = random_problem(9, 10, 14);
+  WaWirelength wl(2.0);
+  DensityConfig cfg;
+  cfg.nx = cfg.ny = 8;
+  DensityModel dm(p, cfg);
+  PlacementObjective obj(p, wl, dm);
+  obj.set_lambda(0.5);
+  const std::vector<double> z = obj.pack();
+  std::vector<double> g(z.size());
+  EXPECT_DEATH(obj.gradient(g), "without a preceding value");
+  obj.value(z);
+  obj.unpack(z);  // moves the problem: the valued state no longer applies
+  EXPECT_DEATH(obj.gradient(g), "without a preceding value");
+  obj.value(z);
+  obj.set_lambda(1.0);
+  EXPECT_DEATH(obj.gradient(g), "without a preceding value");
+  obj.value(z);
+  obj.gradient(g);  // value() first: fine
+}
+
 }  // namespace
 }  // namespace rp

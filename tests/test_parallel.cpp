@@ -10,6 +10,7 @@
 #include <numeric>
 #include <vector>
 
+#include "fused_objective.hpp"
 #include "gen/generator.hpp"
 #include "model/density.hpp"
 #include "model/netlist_csr.hpp"
@@ -180,6 +181,20 @@ void expect_bitwise_across_threads(const EvalFn& eval_at) {
   }
 }
 
+/// `split(sx, sy)` runs a model's value() then gradient() into zeroed sx/sy
+/// and returns the value: it must reproduce eval()'s value and gradient bit
+/// for bit (the split the CG line search relies on).
+template <typename SplitFn>
+void expect_split_equals_eval(double v, const std::vector<double>& gx,
+                              const std::vector<double>& gy, const SplitFn& split,
+                              const char* what) {
+  std::vector<double> sx(gx.size(), 0.0), sy(gy.size(), 0.0);
+  const double sv = split(sx, sy);
+  EXPECT_EQ(std::memcmp(&v, &sv, sizeof v), 0) << what << ": value differs from eval()";
+  EXPECT_EQ(std::memcmp(gx.data(), sx.data(), gx.size() * sizeof(double)), 0) << what;
+  EXPECT_EQ(std::memcmp(gy.data(), sy.data(), gy.size() * sizeof(double)), 0) << what;
+}
+
 TEST(ParallelKernels, WirelengthBitwiseAcrossThreads) {
   const PlaceProblem p = test_problem();
   for (const char* model : {"LSE", "WA"}) {
@@ -187,7 +202,11 @@ TEST(ParallelKernels, WirelengthBitwiseAcrossThreads) {
     expect_bitwise_across_threads([&] {
       std::vector<double> gx(p.nodes.size(), 0.0), gy(p.nodes.size(), 0.0);
       const double v = wl->eval(p, gx, gy);
-      EXPECT_EQ(wl->value(p), v) << "value() != eval() value path";
+      expect_split_equals_eval(v, gx, gy, [&](auto& sx, auto& sy) {
+        const double sv = wl->value(p);
+        wl->gradient(sx, sy);
+        return sv;
+      }, model);
       return std::tuple(v, gx, gy);
     });
   }
@@ -200,6 +219,11 @@ TEST(ParallelKernels, DensityBitwiseAcrossThreads) {
   expect_bitwise_across_threads([&] {
     std::vector<double> gx(p.nodes.size(), 0.0), gy(p.nodes.size(), 0.0);
     const double v = dm.eval(p, gx, gy);
+    expect_split_equals_eval(v, gx, gy, [&](auto& sx, auto& sy) {
+      const double sv = dm.value(p);
+      dm.gradient(p, sx, sy);
+      return sv;
+    }, "density");
     return std::tuple(v, gx, gy);
   });
 }
@@ -231,7 +255,7 @@ TEST(ParallelKernels, CgBitwiseAcrossThreads) {
   std::vector<double> target(n);
   Rng rng(9);
   for (double& t : target) t = rng.uniform(-5.0, 5.0);
-  const CgObjective f = [&](std::span<const double> z, std::span<double> g) {
+  const CgObjective f = fused([&](std::span<const double> z, std::span<double> g) {
     double v = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double e = z[i] - target[i];
@@ -239,7 +263,7 @@ TEST(ParallelKernels, CgBitwiseAcrossThreads) {
       v += e * e;
     }
     return v;
-  };
+  });
   CgOptions opt;
   opt.max_iters = 25;
   opt.trust_radius = 0.5;

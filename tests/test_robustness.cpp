@@ -20,9 +20,11 @@
 #include "db/bookshelf.hpp"
 #include "db/validate.hpp"
 #include "gen/generator.hpp"
+#include "fused_objective.hpp"
 #include "solver/cg.hpp"
 #include "util/error.hpp"
 #include "util/logger.hpp"
+#include "util/obs_context.hpp"
 #include "util/telemetry.hpp"
 
 namespace fs = std::filesystem;
@@ -389,14 +391,14 @@ TEST_F(CliErrors, LenientModeReportsRepairCounters) {
 // Numeric guard rails around the CG solver.
 
 TEST(NumericGuard, CleanSolveTakesNoRetries) {
-  const CgObjective quad = [](std::span<const double> z, std::span<double> g) {
+  const CgObjective quad = fused([](std::span<const double> z, std::span<double> g) {
     double f = 0;
     for (std::size_t i = 0; i < z.size(); ++i) {
       f += z[i] * z[i];
       g[i] = 2 * z[i];
     }
     return f;
-  };
+  });
   std::vector<double> z{3.0, -2.0, 7.0};
   CgOptions opt;
   GuardStats gs;
@@ -413,7 +415,7 @@ TEST(NumericGuard, TransientNaNRestoresAndRetries) {
   // halve the step, and succeed on the retry.
   int calls = 0;
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const CgObjective f = [&](std::span<const double> z, std::span<double> g) {
+  const CgObjective f = fused([&](std::span<const double> z, std::span<double> g) {
     ++calls;
     double fx = 0;
     for (std::size_t i = 0; i < z.size(); ++i) {
@@ -421,7 +423,7 @@ TEST(NumericGuard, TransientNaNRestoresAndRetries) {
       g[i] = (calls == 1) ? nan : 2 * z[i];
     }
     return (calls == 1) ? nan : fx;
-  };
+  });
   std::vector<double> z{3.0, -2.0};
   CgOptions opt;
   opt.max_iters = 50;
@@ -435,11 +437,11 @@ TEST(NumericGuard, TransientNaNRestoresAndRetries) {
 
 TEST(NumericGuard, PersistentNaNAbortsWithNumericError) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const CgObjective f = [&](std::span<const double> z, std::span<double> g) {
+  const CgObjective f = fused([&](std::span<const double> z, std::span<double> g) {
     for (std::size_t i = 0; i < z.size(); ++i) g[i] = nan;
     (void)z;
     return nan;
-  };
+  });
   std::vector<double> z{1.0, 2.0};
   const std::vector<double> z0 = z;
   CgOptions opt;
@@ -454,6 +456,36 @@ TEST(NumericGuard, PersistentNaNAbortsWithNumericError) {
   }
   EXPECT_EQ(z, z0);  // coordinates restored to the last good snapshot
   EXPECT_EQ(gs.retries, 1);
+}
+
+TEST(NumericGuard, StageIsTheOpenSpanPath) {
+  // place_level solves through minimize_cg_in_span: an abort inside the
+  // global/level2 span must name that stage_times key, in the error and in
+  // both guard events.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const CgObjective f = fused([&](std::span<const double> z, std::span<double> g) {
+    for (std::size_t i = 0; i < z.size(); ++i) g[i] = nan;
+    return nan;
+  });
+  obs::ObsContext ctx;
+  obs::ScopedBind bind(&ctx);
+  std::vector<double> z{1.0, 2.0};
+  try {
+    RP_SPAN("global");
+    RP_SPAN("level2");
+    minimize_cg_in_span(f, z, CgOptions{});
+    FAIL() << "persistent NaN must abort";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::NumericError);
+    EXPECT_EQ(e.stage(), "global/level2");
+  }
+  obs::Event ev[8];
+  const int n = ctx.events().flight_events(ev, 8);
+  std::vector<std::string> labels;
+  for (int i = 0; i < n; ++i)
+    if (ev[i].kind == obs::EventKind::Guard) labels.emplace_back(ev[i].label);
+  EXPECT_EQ(labels, (std::vector<std::string>{"cg.retry:global/level2",
+                                              "cg.abort:global/level2"}));
 }
 
 // ---------------------------------------------------------------------------

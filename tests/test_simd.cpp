@@ -4,7 +4,8 @@
 //  * every kernel in the simd::Ops table produces the same bits at every
 //    dispatch level (scalar vs AVX2/NEON when the host has them);
 //  * wirelength/density evaluations are identical for RP_SIMD off vs auto,
-//    at any thread count;
+//    at any thread count, and value() then gradient() reproduces eval() for
+//    every model and the placement objective;
 //  * IncrementalEval's trial_move/trial_swap match mutate-and-measure
 //    exactly, and a long committed-move session never drifts from
 //    Design::hpwl();
@@ -15,11 +16,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "gen/generator.hpp"
 #include "model/density.hpp"
 #include "model/incremental.hpp"
+#include "model/objective.hpp"
 #include "model/problem.hpp"
 #include "model/wirelength.hpp"
 #include "util/logger.hpp"
@@ -166,6 +169,70 @@ TEST(SimdModels, WirelengthAndDensityIdenticalAcrossLevelsAndThreads) {
       EXPECT_EQ(ref.wa, r.wa) << level << " t=" << threads;
       EXPECT_EQ(ref.dens, r.dens) << level << " t=" << threads;
       EXPECT_EQ(ref.g, r.g) << level << " t=" << threads;
+    }
+  }
+}
+
+TEST(SimdModels, ValueThenGradientEqualsEval) {
+  // The CG line search values its trials and takes the gradient only at the
+  // accepted one. On a FRESH instance (no state left by an eval), value()
+  // then gradient() must give eval()'s value and every gradient entry bit
+  // for bit, at every dispatch level and pool width.
+  DispatchGuard guard;
+  Logger::set_level(LogLevel::Warn);
+  PlaceProblem p = make_problem(generate_benchmark(small_spec(42)));
+  const std::size_t nn = p.nodes.size();
+  DensityConfig cfg;
+  const auto same_bits = [](double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; };
+  const auto same_vec = [](const std::vector<double>& a, const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+
+  for (const char* level : {"off", "auto"}) {
+    for (const int threads : {1, 2, 4}) {
+      simd::set_from_string(level);
+      parallel::set_num_threads(threads);
+      const std::string at = std::string(level) + " t=" + std::to_string(threads);
+
+      for (const char* name : {"LSE", "WA"}) {
+        const auto fused = make_wirelength_model(name, 4.0);
+        const auto split = make_wirelength_model(name, 4.0);
+        std::vector<double> fx(nn, 0.0), fy(nn, 0.0), sx(nn, 0.0), sy(nn, 0.0);
+        const double fv = fused->eval(p, fx, fy);
+        const double sv = split->value(p);
+        split->gradient(sx, sy);
+        EXPECT_TRUE(same_bits(fv, sv)) << name << " value " << at;
+        EXPECT_TRUE(same_vec(fx, sx)) << name << " gx " << at;
+        EXPECT_TRUE(same_vec(fy, sy)) << name << " gy " << at;
+      }
+
+      {
+        DensityModel fused(p, cfg), split(p, cfg);
+        std::vector<double> fx(nn, 0.0), fy(nn, 0.0), sx(nn, 0.0), sy(nn, 0.0);
+        const double fv = fused.eval(p, fx, fy);
+        const double sv = split.value(p);
+        split.gradient(p, sx, sy);
+        EXPECT_NE(fv, 0.0) << "density penalty must be live for this check";
+        EXPECT_TRUE(same_bits(fv, sv)) << "density value " << at;
+        EXPECT_TRUE(same_vec(fx, sx)) << "density gx " << at;
+        EXPECT_TRUE(same_vec(fy, sy)) << "density gy " << at;
+      }
+
+      for (const double lambda : {0.0, 0.37}) {
+        WaWirelength wl_f(4.0), wl_s(4.0);
+        DensityModel dm_f(p, cfg), dm_s(p, cfg);
+        PlacementObjective fused(p, wl_f, dm_f), split(p, wl_s, dm_s);
+        fused.set_lambda(lambda);
+        split.set_lambda(lambda);
+        const std::vector<double> z = fused.pack();
+        std::vector<double> fg(z.size()), sg(z.size());
+        const double fv = fused.eval(z, fg);
+        const double sv = split.value(z);
+        split.gradient(sg);
+        EXPECT_TRUE(same_bits(fv, sv)) << "objective value, lambda " << lambda << " " << at;
+        EXPECT_TRUE(same_vec(fg, sg)) << "objective gradient, lambda " << lambda << " " << at;
+      }
     }
   }
 }

@@ -116,6 +116,32 @@ TEST(TelemetryTrace, SpansNestAndSerialize) {
   EXPECT_GE(meta, 1u);
 }
 
+TEST(TelemetryTrace, CategoryFollowsTheEventNotTheLane) {
+  // Worker 0 is the submitting thread, so its pool chunks ride lane 0 next
+  // to the spans; they are still category "pool", and spans stay "flow".
+  telemetry::start_trace();
+  {
+    RP_SPAN("stage");
+    telemetry::emit_span("pool/chunk", 0, 10, 0);
+    telemetry::emit_span("pool/chunk", 0, 10, 1);
+  }
+  telemetry::stop_trace();
+  const JsonValue doc = json_parse(telemetry::trace_json());
+  int chunks = 0, spans = 0;
+  for (const JsonValue& e : doc.at("traceEvents").arr) {
+    if (e.at("ph").str == "M") continue;
+    if (e.at("name").str == "pool/chunk") {
+      ++chunks;
+      EXPECT_EQ(e.at("cat").str, "pool") << "chunk on lane " << e.at("tid").num;
+    } else {
+      ++spans;
+      EXPECT_EQ(e.at("cat").str, "flow") << e.at("name").str;
+    }
+  }
+  EXPECT_EQ(chunks, 2);
+  EXPECT_EQ(spans, 1);
+}
+
 TEST(TelemetryTrace, StartClearsPreviousBuffer) {
   telemetry::start_trace();
   { RP_SPAN("first_session"); }
