@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
-"""Determinism gate for the parallel + SIMD + incremental kernels.
+"""Determinism gate for the parallel + SIMD kernels.
 
 Runs the full flow on the same generated design across the configuration
 matrix the determinism contract covers, and demands that everything
 observable is IDENTICAL between every pair:
 
-  run_1: --threads 1,     RP_SIMD=off,  --incremental-eval off
-  run_n: --threads <max>, RP_SIMD=auto, --incremental-eval on, --profile
-  run_s: --threads 1,     RP_SIMD=auto, --incremental-eval on,
-         RP_CHECK_INCREMENTAL=1 (every cached/trialed cost self-verifies
-         against a from-scratch recompute and aborts on a bit mismatch)
+  run_1: --threads 1,     RP_SIMD=off
+  run_n: --threads <max>, RP_SIMD=auto, --profile
+  run_s: --threads 1,     RP_SIMD=auto,
+         RP_CHECK_INCREMENTAL=1 (every cached/trialed detailed-placement
+         cost self-verifies against a from-scratch recompute and aborts on
+         a bit mismatch)
 
-run_1 vs run_n proves thread- AND vector- AND incremental- AND profiler-
-invariance in one comparison; run_1 vs run_s isolates the SIMD/incremental
-axes at a fixed thread count with the cross-checker armed. Identical means:
+run_1 vs run_n proves thread- AND vector- AND profiler-invariance in one
+comparison; run_1 vs run_s isolates the SIMD axis at a fixed thread count
+with the detailed placer's recompute reference armed. Identical means:
 
 1. the .pl placement files are byte-identical;
 2. every snapshot artifact (manifests, grids, convergence history) is
@@ -49,8 +50,8 @@ FAILURES = []
 # Keys that legitimately differ between two identical runs (mirrors
 # report_diff_default_ignores() in src/core/report_diff.cpp). "profile" is
 # here because only run_n is profiled — the block's presence itself must be
-# ignorable; "simd" carries the requested/active dispatch level and the
-# incremental-eval switch, which differ across the matrix by construction.
+# ignorable; "simd" carries the requested/active dispatch level, which
+# differs across the matrix by construction.
 VOLATILE_KEYS = {"stage_times", "stage_total_sec", "peak_rss_kb", "build",
                  "snapshot_dir", "parallel", "simd", "profile", "resources"}
 
@@ -187,15 +188,11 @@ def main():
 
     with tempfile.TemporaryDirectory(prefix="rp_threads_det_") as tmp:
         tmp = Path(tmp)
-        run_1 = run_flow(routplace, tmp / "t1", 1,
-                         env={"RP_SIMD": "off"},
-                         extra_args=["--incremental-eval", "off"])
+        run_1 = run_flow(routplace, tmp / "t1", 1, env={"RP_SIMD": "off"})
         run_n = run_flow(routplace, tmp / "tN", max_threads, profile=True,
-                         env={"RP_SIMD": "auto"},
-                         extra_args=["--incremental-eval", "on"])
+                         env={"RP_SIMD": "auto"})
         run_s = run_flow(routplace, tmp / "t1simd", 1,
-                         env={"RP_SIMD": "auto", "RP_CHECK_INCREMENTAL": "1"},
-                         extra_args=["--incremental-eval", "on"])
+                         env={"RP_SIMD": "auto", "RP_CHECK_INCREMENTAL": "1"})
         if run_1 is None or run_n is None or run_s is None:
             print("\n".join(FAILURES))
             return 1
@@ -207,7 +204,6 @@ def main():
         # (the asymmetry is the point).
         rep_1 = json.loads((run_1 / "run.report.json").read_text())
         rep_n = json.loads((run_n / "run.report.json").read_text())
-        rep_s = json.loads((run_s / "run.report.json").read_text())
         check(rep_n["parallel"]["threads"] == max_threads,
               f"report says threads={rep_n['parallel']['threads']}, "
               f"expected {max_threads}")
@@ -218,11 +214,6 @@ def main():
               f"t1 run did not run scalar kernels: {rep_1['simd']}")
         check(rep_n["simd"]["requested"] == "auto",
               f"tN run did not request auto dispatch: {rep_n['simd']}")
-        check(rep_1["simd"]["incremental_eval"] is False,
-              "t1 run unexpectedly used incremental eval")
-        check(rep_n["simd"]["incremental_eval"] is True
-              and rep_s["simd"]["incremental_eval"] is True,
-              "tN/t1simd runs did not use incremental eval")
 
     if FAILURES:
         print("check_threads_determinism: FAILED")
@@ -230,8 +221,8 @@ def main():
             print(f"  - {f}")
         return 1
     print(f"check_threads_determinism: OK (threads 1/{max_threads} x "
-          f"RP_SIMD off/auto x incremental off/on: placement, snapshots, "
-          f"and report all identical)")
+          f"RP_SIMD off/auto, DP recompute reference armed: placement, "
+          f"snapshots, and report all identical)")
     return 0
 
 

@@ -51,9 +51,11 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1:${UBSAN_OPTIONS:-}"
 
 echo "== ASan/UBSan: test_robustness =="
 "$ASAN_BUILD_DIR/tests/test_robustness"
-# The SIMD intrinsics + incremental-eval index arithmetic and the DP paths
-# that consume them are exactly where an OOB read would hide; run both
-# suites under ASan/UBSan so a bad lane or stale scratch fails loudly.
+# The SIMD intrinsics + the incremental evaluator's index arithmetic and the
+# DP that consumes it (its only candidate scorer; test_dp also runs it with
+# the RP_CHECK_INCREMENTAL recompute armed) are exactly where an OOB read
+# would hide; run both suites under ASan/UBSan so a bad lane or stale
+# scratch fails loudly.
 echo "== ASan/UBSan: test_simd =="
 "$ASAN_BUILD_DIR/tests/test_simd"
 # The objective's gradient() reads state its value() left behind (density

@@ -55,12 +55,6 @@ std::string cli_usage() {
       "                          supports, unavailable levels fall back with a\n"
       "                          warning. Results are bitwise identical at\n"
       "                          every level (also via RP_SIMD env)\n"
-      "  --incremental-eval <m>  on (default) | off — detailed placement\n"
-      "                          scores candidate moves through cached per-net\n"
-      "                          deltas instead of full re-evaluation; byte-\n"
-      "                          identical placements either way (off is the\n"
-      "                          cross-check reference; see also\n"
-      "                          RP_CHECK_INCREMENTAL=1)\n"
       "  --max-gp-iters <n>      watchdog: cap total GP outer iterations; when\n"
       "                          hit, GP stops spreading early and the flow\n"
       "                          continues (deterministic; 0 = off)\n"
@@ -142,12 +136,6 @@ CliConfig parse_cli_args(const std::vector<std::string>& args) {
       cfg.sample_resources_ms = static_cast<int>(to_long(need_value(i++, a)));
     else if (a == "--threads") cfg.threads = static_cast<int>(to_long(need_value(i++, a)));
     else if (a == "--simd") cfg.simd = need_value(i++, a);
-    else if (a == "--incremental-eval") {
-      const std::string v = need_value(i++, a);
-      if (v != "on" && v != "off")
-        throw std::runtime_error("--incremental-eval must be 'on' or 'off'");
-      cfg.incremental_eval = v == "on";
-    }
     else if (a == "--strict") cfg.lenient = false;
     else if (a == "--lenient") cfg.lenient = true;
     else if (a == "--max-gp-iters")
@@ -212,7 +200,6 @@ FlowOptions cli_flow_options(const CliConfig& cfg) {
   opt.gp.max_gp_iters = cfg.max_gp_iters;
   opt.gp.max_seconds = cfg.max_seconds;
   opt.gp.verbose = cfg.verbose;
-  opt.dp.incremental = cfg.incremental_eval;
   opt.skip_dp = cfg.skip_dp;
   opt.snapshot.dir = cfg.snapshot_dir;
   opt.snapshot.density_every = cfg.snapshot_every;

@@ -30,7 +30,6 @@ struct CliConfig {
                                  ///< -1 = auto (RP_SAMPLE_MS env, else 25).
   int threads = 0;           ///< 0 = auto (RP_THREADS env, else hardware).
   std::string simd;          ///< "auto"|"off"|"avx2"|"neon"; empty = RP_SIMD env.
-  bool incremental_eval = true;  ///< DP candidate evaluation via cached deltas.
   bool lenient = false;      ///< Bookshelf parse mode (false = strict).
   int max_gp_iters = 0;      ///< >0: cap total GP outer iterations (watchdog).
   double max_seconds = 0.0;  ///< >0: GP wall-clock budget in seconds (watchdog).

@@ -118,27 +118,18 @@ FlowResult PlacementFlow::run(Design& d) {
 
   if (!opt_.skip_dp) with_stage("detailed", [&] {
     DetailedPlaceOptions dpo = opt_.dp;
-    DetailedPlacer dp(dpo);
     if (opt_.congestion_aware_dp) {
       // Feed the DP the post-GP congestion picture.
       RoutingGrid rg(d, true);
-      if (opt_.design_csr != nullptr) {
-        // Cached flatten (rp_serve): copy the topology template instead of
-        // rebuilding it; the estimator gathers coordinates per eval, so the
-        // result is byte-identical to the from-scratch path.
-        NetlistCsr csr = *opt_.design_csr;
-        estimate_probabilistic(d, csr, rg);
-      } else {
-        estimate_probabilistic(d, rg);
-      }
+      estimate_probabilistic(d, rg);
       double w = opt_.dp_congestion_weight;
       if (w <= 0.0) w = 2.0 * d.row_height();
       dpo.congestion_weight = w;
-      DetailedPlacer dp2(dpo);
-      dp2.set_congestion(rg.map(), rg.tile_congestion());
-      r.dp = dp2.run(d);
-    } else {
+      DetailedPlacer dp(dpo);
+      dp.set_congestion(rg.map(), rg.tile_congestion());
       r.dp = dp.run(d);
+    } else {
+      r.dp = DetailedPlacer(dpo).run(d);
     }
     RP_INFO("detailed placement: hpwl %.4e -> %.4e (%.2f%%), %ld swaps, %ld moves, "
             "%ld reorders, %ld ism",

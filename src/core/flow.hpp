@@ -20,7 +20,6 @@
 #include "core/report.hpp"
 #include "core/snapshot.hpp"
 #include "dp/detailed.hpp"
-#include "model/netlist_csr.hpp"
 #include "legal/legalizer.hpp"
 #include "legal/macro_legalizer.hpp"
 #include "util/obs_context.hpp"
@@ -48,15 +47,6 @@ struct FlowOptions {
   /// and comes back as FlowResult::obs; concurrent runs on separate contexts
   /// share no observability state.
   std::shared_ptr<obs::ObsContext> obs;
-
-  /// Optional pre-flattened design-level CSR netlist (rp_serve's design
-  /// cache). When set, stages that would call NetlistCsr::from_design(d) —
-  /// the congestion estimate feeding detailed placement — COPY this template
-  /// instead of re-flattening. The CSR is topology-only (pin coordinates are
-  /// gathered per eval), so a cached copy is valid for any design with the
-  /// same netlist regardless of positions; results are byte-identical either
-  /// way. Null: flatten from the design as always.
-  std::shared_ptr<const NetlistCsr> design_csr;
 };
 
 /// The paper's configuration (all routability levers on).

@@ -117,7 +117,7 @@ GlobalPlacer::LevelResult GlobalPlacer::place_level(PlaceProblem& prob,
     std::vector<double> z = obj.pack();
     CgOptions warm = cgo;
     warm.max_iters = opt_.cg_iters / 2;
-    minimize_cg_in_span(f, z, warm);
+    minimize_cg_guarded(f, z, warm);
     obj.unpack(z);
   }
 
@@ -134,7 +134,7 @@ GlobalPlacer::LevelResult GlobalPlacer::place_level(PlaceProblem& prob,
     obj.set_lambda(lambda);
 
     std::vector<double> z = obj.pack();
-    minimize_cg_in_span(f, z, cgo);
+    minimize_cg_guarded(f, z, cgo);
     obj.unpack(z);
 
     ++outers_done_;

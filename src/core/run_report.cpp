@@ -187,15 +187,14 @@ std::string run_report_json(const RunReportMeta& meta, const FlowOptions& opt,
   w.end_object();
 
   // Kernel-dispatch provenance, same contract as "parallel": the active
-  // vector level and the incremental-eval switch never change results (the
-  // determinism gate diffs across them), so the whole block is ignored by
-  // rp_report_diff and the determinism check.
+  // vector level never changes results (the determinism gate diffs across
+  // levels), so the whole block is ignored by rp_report_diff and the
+  // determinism check.
   w.key("simd").begin_object();
   w.kv("requested", simd::requested());
   w.kv("active", simd::level_name(simd::active_level()));
   w.kv("host_avx2", simd::host_features().avx2);
   w.kv("host_neon", simd::host_features().neon);
-  w.kv("incremental_eval", opt.dp.incremental);
   w.end_object();
 
   write_options(w, opt);

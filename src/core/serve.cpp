@@ -134,10 +134,6 @@ JobRequest parse_job_request(const JsonValue& job) {
     } else if (key == "lenient" || key == "skip_dp") {
       if (v.kind != JsonValue::Kind::Bool) type_error(key, "a bool");
       if (v.b) args.push_back(key == "lenient" ? "--lenient" : "--skip-dp");
-    } else if (key == "incremental_eval") {
-      if (v.kind != JsonValue::Kind::Bool) type_error(key, "a bool");
-      args.push_back("--incremental-eval");
-      args.push_back(v.b ? "on" : "off");
     } else {
       // Everything else is either orchestrator-owned (out, report_json,
       // progress_ndjson, snapshots, simd, sample_resources, ...) or unknown;
@@ -349,7 +345,6 @@ JobStatusInfo execute_serve_job(const JobRequest& req, const std::string& job_di
         ev.i0 = entry->repair_total;
         obs_ctx->events().emit(ev);
       }
-      fopt.design_csr = entry->csr;
     } else {
       if (!cfg.aux.empty()) {
         BookshelfOptions bso;
@@ -365,7 +360,6 @@ JobStatusInfo execute_serve_job(const JobRequest& req, const std::string& job_di
       if (cache != nullptr) {
         auto fresh = std::make_shared<DesignCacheEntry>();
         fresh->design = d;
-        fresh->csr = std::make_shared<NetlistCsr>(NetlistCsr::from_design(d));
         // Snapshot EVERYTHING acquisition recorded on this fresh context —
         // not just parse.repair.*: generate_benchmark runs an internal
         // routability probe that bumps route.* too, and a hit must replay
@@ -378,7 +372,6 @@ JobStatusInfo execute_serve_job(const JobRequest& req, const std::string& job_di
           for (const auto& [name, v] : fresh->pre_counters)
             if (name.rfind("parse.repair.", 0) == 0) fresh->repair_total += v;
         }
-        fopt.design_csr = fresh->csr;
         cache->insert(key, std::move(fresh));
       }
     }

@@ -6,9 +6,9 @@
 // streaming ops) newline-delimited JSON response lines back. Keeping the
 // placer resident buys two things a one-shot `routplace` cannot offer:
 //
-//  * a DESIGN CACHE — parsed Bookshelf designs and their flattened CSR
-//    netlists are kept keyed by input content hash, so a repeat job skips
-//    parse + flatten entirely (job status reports `cache_hit`);
+//  * a DESIGN CACHE — parsed Bookshelf and generated designs are kept
+//    keyed by input content hash, so a repeat job skips parsing or
+//    generation entirely (job status reports `cache_hit`);
 //  * CONCURRENT JOBS on the per-run observability contexts introduced with
 //    the re-entrancy work: every job binds its own ObsContext, so counters,
 //    events, reports and progress streams never bleed between jobs, and the
@@ -70,7 +70,6 @@
 
 #include "core/cli.hpp"
 #include "db/design.hpp"
-#include "model/netlist_csr.hpp"
 #include "util/json.hpp"
 
 namespace rp {
@@ -96,16 +95,14 @@ JobRequest parse_job_request(const JsonValue& job);
 
 // ------------------------------------------------------------- design cache
 
-/// What the cache keeps per distinct input: the parsed design, the flattened
-/// design-level CSR (FlowOptions::design_csr), and the ACQUISITION-TIME
-/// observability to REPLAY on a hit — a cache hit must leave the job's
-/// report and event stream byte-identical to a cold run, so everything the
-/// skipped phase would have recorded (parse-repair counters, the
-/// generator's probe-estimate counters, the ParseRepair event) is re-applied
-/// to the hitting job's context instead of being silently lost.
+/// What the cache keeps per distinct input: the parsed design and the
+/// ACQUISITION-TIME observability to REPLAY on a hit — a cache hit must
+/// leave the job's report and event stream byte-identical to a cold run, so
+/// everything the skipped phase would have recorded (parse-repair counters,
+/// the generator's probe-estimate counters, the ParseRepair event) is
+/// re-applied to the hitting job's context instead of being silently lost.
 struct DesignCacheEntry {
   Design design;
-  std::shared_ptr<const NetlistCsr> csr;
   bool bookshelf = false;       ///< Generated inputs replay no parse event.
   std::string parse_label;      ///< "strict" | "lenient".
   std::int64_t repair_total = 0;

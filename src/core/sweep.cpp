@@ -30,11 +30,11 @@ namespace {
 /// reserved for the orchestrator (output paths, the seed axis).
 const std::set<std::string>& allowed_flags() {
   static const std::set<std::string> k = {
-      "aux",          "density",     "gen",           "incremental-eval",
-      "inflate-rate", "legalizer",   "lenient",       "max-gp-iters",
-      "max-seconds",  "mode",        "profile",       "rounds",
-      "sample-resources", "simd",    "skip-dp",       "strict",
-      "supply",       "threads",     "verbose",       "wl-model",
+      "aux",          "density",     "gen",           "inflate-rate",
+      "legalizer",    "lenient",     "max-gp-iters",  "max-seconds",
+      "mode",         "profile",     "rounds",        "sample-resources",
+      "simd",         "skip-dp",     "strict",        "supply",
+      "threads",      "verbose",     "wl-model",
   };
   return k;
 }

@@ -123,7 +123,9 @@ class RowView {
   std::unordered_map<CellId, int> where_;
 };
 
-/// Incremental cost evaluation: HPWL over a net set + congestion term.
+/// Move cost terms that IncrementalEval does not cache: the congestion
+/// penalty, fence legality, and the recomputed HPWL of a net set (the
+/// reorder pass measures its permutations by mutating the window).
 class CostEval {
  public:
   CostEval(const Design& d, double cong_weight, const std::optional<GridMap>& geom,
@@ -147,7 +149,7 @@ class CostEval {
 
   /// Congestion cost of c trialed at lower-left `ll` without mutating the
   /// design — the center is formed by the same pos + size/2 expression as
-  /// cell_cong_cost sees after a mutate-and-measure, so values match bitwise.
+  /// cell_cong_cost uses, so the value is bitwise the one c would have there.
   double cell_cong_cost_at(CellId c, Point ll) const {
     if (cw_ == 0.0 || !geom_) return 0.0;
     const Cell& k = d_.cell(c);
@@ -225,15 +227,14 @@ void DetailedPlacer::set_congestion(GridMap map_geom, Grid2D<double> congestion)
 
 DetailedPlaceStats DetailedPlacer::run(Design& d) {
   DetailedPlaceStats stats;
-  // The evaluator's topology (per-cell sorted net lists) serves both modes;
-  // its cached net boxes and costs are consulted only when opt_.incremental
-  // is set. Candidate deltas are bitwise identical either way — min/max box
-  // updates are exact and every sum runs in the same ascending-net order —
-  // which the determinism gate enforces by diffing the two settings.
+  // Candidates are scored through the evaluator's cached net boxes and
+  // costs without mutating the design. Its deltas are bitwise identical to
+  // a mutate-and-measure recompute — min/max box updates are exact and every
+  // sum runs in the same ascending-net order — which RP_CHECK_INCREMENTAL=1
+  // verifies trial by trial.
   IncrementalEval inc(d);
-  const bool use_inc = opt_.incremental;
-  if (use_inc && cong_geom_) inc.build_occupancy(*cong_geom_);
-  stats.hpwl_before = use_inc ? inc.total_cost() : d.hpwl();
+  if (cong_geom_) inc.build_occupancy(*cong_geom_);
+  stats.hpwl_before = inc.total_cost();
   Rng rng(opt_.seed);
   RowView rows(d);
   CostEval eval(d, opt_.congestion_weight, cong_geom_, cong_);
@@ -271,9 +272,7 @@ DetailedPlaceStats DetailedPlacer::run(Design& d) {
         // spot: its net list and cost are computed once per cell, not once
         // per gap candidate.
         const std::span<const NetId> nets_c = inc.cell_nets(c);
-        const double before_c =
-            (use_inc ? inc.nets_cost(nets_c) : eval.nets_cost(nets_c)) +
-            eval.cell_cong_cost(c);
+        const double before_c = inc.nets_cost(nets_c) + eval.cell_cong_cost(c);
 
         for (int b = std::max(0, band - 1);
              b <= std::min(rows.index().num_bands() - 1, band + 1); ++b) {
@@ -289,16 +288,8 @@ DetailedPlaceStats DetailedPlacer::run(Design& d) {
               if (gap.length() < k.w) continue;
               const double x = std::clamp(tx - k.w / 2, gap.lo, gap.hi - k.w);
               if (!eval.fence_ok(c, x, sr.y)) continue;
-              double after;
-              if (use_inc) {
-                after = inc.trial_move(c, {x, sr.y}) +
-                        eval.cell_cong_cost_at(c, {x, sr.y});
-              } else {
-                const Point old_pos = d.cell(c).pos;
-                d.cell(c).pos = {x, sr.y};
-                after = eval.nets_cost(nets_c) + eval.cell_cong_cost(c);
-                d.cell(c).pos = old_pos;
-              }
+              const double after =
+                  inc.trial_move(c, {x, sr.y}) + eval.cell_cong_cost_at(c, {x, sr.y});
               const double delta = before_c - after;
               if (delta > best_delta) {
                 best_delta = delta;
@@ -316,20 +307,11 @@ DetailedPlaceStats DetailedPlacer::run(Design& d) {
               // One merge of the two sorted per-cell net lists replaces the
               // collect-sort-unique pass both sides used to repeat.
               inc.union_nets(c, o, net_union);
-              const double before = (use_inc ? inc.nets_cost(net_union)
-                                             : eval.nets_cost(net_union)) +
-                                    eval.cell_cong_cost(c) + eval.cell_cong_cost(o);
-              double after;
-              if (use_inc) {
-                after = inc.trial_swap(c, o, net_union) +
-                        eval.cell_cong_cost_at(c, d.cell(o).pos) +
-                        eval.cell_cong_cost_at(o, d.cell(c).pos);
-              } else {
-                std::swap(d.cell(c).pos, d.cell(o).pos);
-                after = eval.nets_cost(net_union) + eval.cell_cong_cost(c) +
-                        eval.cell_cong_cost(o);
-                std::swap(d.cell(c).pos, d.cell(o).pos);
-              }
+              const double before = inc.nets_cost(net_union) + eval.cell_cong_cost(c) +
+                                    eval.cell_cong_cost(o);
+              const double after = inc.trial_swap(c, o, net_union) +
+                                   eval.cell_cong_cost_at(c, d.cell(o).pos) +
+                                   eval.cell_cong_cost_at(o, d.cell(c).pos);
               const double delta = before - after;
               if (delta > best_delta) {
                 best_delta = delta;
@@ -344,20 +326,16 @@ DetailedPlaceStats DetailedPlacer::run(Design& d) {
             const Point old_c = d.cell(c).pos;
             const Point old_o = d.cell(best_swap).pos;
             rows.swap_cells(c, best_swap);
-            if (use_inc) {
-              inc.refresh_cell(c);
-              inc.refresh_cell(best_swap);
-              inc.occupancy_move(c, old_c, d.cell(c).pos);
-              inc.occupancy_move(best_swap, old_o, d.cell(best_swap).pos);
-            }
+            inc.refresh_cell(c);
+            inc.refresh_cell(best_swap);
+            inc.occupancy_move(c, old_c, d.cell(c).pos);
+            inc.occupancy_move(best_swap, old_o, d.cell(best_swap).pos);
             ++stats.swaps;
           } else {
             const Point old_c = d.cell(c).pos;
             rows.relocate(c, best_s, best_x);
-            if (use_inc) {
-              inc.refresh_cell(c);
-              inc.occupancy_move(c, old_c, d.cell(c).pos);
-            }
+            inc.refresh_cell(c);
+            inc.occupancy_move(c, old_c, d.cell(c).pos);
             ++stats.relocations;
           }
         }
@@ -391,7 +369,7 @@ DetailedPlaceStats DetailedPlacer::run(Design& d) {
 
           std::vector<Point> orig(win.size());
           for (std::size_t j = 0; j < win.size(); ++j) orig[j] = d.cell(win[j]).pos;
-          const double before = use_inc ? inc.nets_cost(nets) : eval.nets_cost(nets);
+          const double before = inc.nets_cost(nets);
 
           std::vector<int> perm(win.size());
           for (std::size_t j = 0; j < perm.size(); ++j) perm[j] = static_cast<int>(j);
@@ -429,11 +407,9 @@ DetailedPlaceStats DetailedPlacer::run(Design& d) {
               continue;
             }
             ++stats.reorders;
-            if (use_inc) {
-              inc.refresh_nets(nets);
-              for (std::size_t j = 0; j < win.size(); ++j)
-                inc.occupancy_move(win[j], orig[j], d.cell(win[j]).pos);
-            }
+            inc.refresh_nets(nets);
+            for (std::size_t j = 0; j < win.size(); ++j)
+              inc.occupancy_move(win[j], orig[j], d.cell(win[j]).pos);
             // Row order may have changed; fix the slice.
             auto& mrow = rows.cells_in_mutable(s);
             std::sort(mrow.begin() + i, mrow.begin() + i + w, [&](CellId a, CellId b) {
@@ -474,25 +450,14 @@ DetailedPlaceStats DetailedPlacer::run(Design& d) {
             std::vector<Point> slots(set.size());
             for (std::size_t i = 0; i < set.size(); ++i) slots[i] = d.cell(set[i]).pos;
             std::vector<double> cost(static_cast<std::size_t>(n) * n, 0.0);
+            // Net-disjointness makes per-cell costs separable, so each
+            // slot is a plain single-cell trial — no mutation at all.
             for (int i = 0; i < n; ++i) {
               const CellId c = set[static_cast<std::size_t>(i)];
-              if (use_inc) {
-                // Net-disjointness makes per-cell costs separable, so each
-                // slot is a plain single-cell trial — no mutation at all.
-                for (int j = 0; j < n; ++j)
-                  cost[static_cast<std::size_t>(i * n + j)] =
-                      inc.trial_move(c, slots[static_cast<std::size_t>(j)]) +
-                      eval.cell_cong_cost_at(c, slots[static_cast<std::size_t>(j)]);
-              } else {
-                const Point orig = d.cell(c).pos;
-                const auto nets = inc.cell_nets(c);
-                for (int j = 0; j < n; ++j) {
-                  d.cell(c).pos = slots[static_cast<std::size_t>(j)];
-                  cost[static_cast<std::size_t>(i * n + j)] =
-                      eval.nets_cost(nets) + eval.cell_cong_cost(c);
-                }
-                d.cell(c).pos = orig;
-              }
+              for (int j = 0; j < n; ++j)
+                cost[static_cast<std::size_t>(i * n + j)] =
+                    inc.trial_move(c, slots[static_cast<std::size_t>(j)]) +
+                    eval.cell_cong_cost_at(c, slots[static_cast<std::size_t>(j)]);
             }
             const std::vector<int> assign = hungarian(cost, n);
             double before = 0.0;
@@ -504,14 +469,12 @@ DetailedPlaceStats DetailedPlacer::run(Design& d) {
                 d.cell(set[static_cast<std::size_t>(i)]).pos =
                     slots[static_cast<std::size_t>(assign[static_cast<std::size_t>(i)])];
               }
-              if (use_inc)
-                for (int i = 0; i < n; ++i)
-                  if (assign[static_cast<std::size_t>(i)] != i) {
-                    const CellId c = set[static_cast<std::size_t>(i)];
-                    inc.refresh_cell(c);
-                    inc.occupancy_move(c, slots[static_cast<std::size_t>(i)],
-                                       d.cell(c).pos);
-                  }
+              for (int i = 0; i < n; ++i)
+                if (assign[static_cast<std::size_t>(i)] != i) {
+                  const CellId c = set[static_cast<std::size_t>(i)];
+                  inc.refresh_cell(c);
+                  inc.occupancy_move(c, slots[static_cast<std::size_t>(i)], d.cell(c).pos);
+                }
             }
           }
           set.clear();
@@ -540,8 +503,8 @@ DetailedPlaceStats DetailedPlacer::run(Design& d) {
     }
   }
 
-  stats.hpwl_after = use_inc ? inc.total_cost() : d.hpwl();
-  if (use_inc && inc.cross_check())
+  stats.hpwl_after = inc.total_cost();
+  if (inc.cross_check())
     RP_ASSERT(stats.hpwl_after == d.hpwl(),
               "incremental: total cost drifted from Design::hpwl()");
   RP_COUNT("dp.swaps", stats.swaps);

@@ -16,6 +16,13 @@
 // Cost = HPWL + congestion_weight × Σ pins-in-congested-tiles: passing a
 // congestion map makes every move routability-aware (the flow's final DP
 // pass does this; the baseline runs with weight 0).
+//
+// Relocation, swap and ISM candidates are scored by the incremental delta
+// evaluator (model/incremental.hpp) — cached per-net costs for the "before"
+// side, O(1)-per-net box updates for trials — without touching the design.
+// Its values are bitwise those of a full recompute; RP_CHECK_INCREMENTAL=1
+// checks every trial against one. The reorder pass measures permutations by
+// moving the window's cells and recomputing its nets.
 
 #include <optional>
 
@@ -33,13 +40,6 @@ struct DetailedPlaceOptions {
   bool enable_ism = true;
   int ism_set_size = 8;
   double congestion_weight = 0.0;  ///< die-units penalty per unit congestion.
-  /// Evaluate move/swap candidates through the incremental delta evaluator
-  /// (model/incremental.hpp): cached per-net costs for the "before" side and
-  /// O(1)-per-net box updates for trials, instead of mutating the design and
-  /// re-walking every pin list. Results are bitwise identical either way —
-  /// the determinism gate diffs the two settings — so this is purely a
-  /// speed knob (and the off switch is the cross-check's reference).
-  bool incremental = true;
   std::uint64_t seed = 1;
 };
 

@@ -9,8 +9,8 @@
 // the minimum exposes the cached second-minimum (duplicates included), and
 // min/max against the pin's new coordinate restores the box.
 //
-// Bitwise-identity contract (the DP gate compares final placements byte for
-// byte with incremental evaluation on vs off):
+// Bitwise-identity contract (every value equals a full recompute over the
+// pin lists with the cell moved — the mutate-and-measure reference):
 //  * min/max are exact selection operations, so an incrementally updated
 //    extreme is the SAME double a full recompute over the pin list yields.
 //  * Cached per-net cost uses the exact expression chain of
@@ -21,11 +21,11 @@
 //    Design::pin_pos; trial positions use the identical expression.
 // Nets where a moved cell holds several pins (or both cells of a swap) fall
 // back to a full recompute of that one net with position overrides — the
-// same arithmetic the mutate-and-measure path performs.
+// same arithmetic a mutate-and-measure recompute performs.
 //
 // set_cross_check(true) (or RP_CHECK_INCREMENTAL=1) verifies every cached
 // and trialed value against a from-scratch recompute and aborts on the
-// first bit mismatch — the debug mode the determinism gate leans on.
+// first bit mismatch — the reference leg of the determinism gate.
 
 #include <span>
 #include <vector>
@@ -46,8 +46,7 @@ class IncrementalEval {
   /// equal to Design::hpwl().
   double total_cost() const;
 
-  /// The sorted unique nets touching cell c (the same list
-  /// CostEval::collect_nets({c}) builds, precomputed once).
+  /// The sorted unique nets touching cell c (precomputed once).
   std::span<const NetId> cell_nets(CellId c) const {
     const auto b = static_cast<std::size_t>(cell_net_off_[static_cast<std::size_t>(c)]);
     const auto e = static_cast<std::size_t>(cell_net_off_[static_cast<std::size_t>(c) + 1]);

@@ -87,10 +87,6 @@ CgResult minimize_cg(const CgObjective& f, std::vector<double>& z, const CgOptio
       alpha *= 0.5;
     }
     if (!accepted) break;
-
-    // The accepted trial is the point valued last: finish its gradient.
-    g_prev.swap(g);
-    f.gradient(g);
     z.swap(z_trial);
 
     const double f_prev = fz;
@@ -100,6 +96,12 @@ CgResult minimize_cg(const CgObjective& f, std::vector<double>& z, const CgOptio
       res.converged = true;
       break;
     }
+    // The last iteration stops here: no further step needs a direction.
+    if (it + 1 == opt.max_iters) break;
+
+    // The accepted trial is the point valued last: finish its gradient.
+    g_prev.swap(g);
+    f.gradient(g);
 
     // Polak–Ribière+ with automatic restart (β clamped at 0).
     const double num = parallel::parallel_reduce(
@@ -143,17 +145,14 @@ bool all_finite(const std::vector<double>& v) {
 }  // namespace
 
 CgResult minimize_cg_guarded(const CgObjective& f, std::vector<double>& z,
-                             const CgOptions& opt, const std::string& stage,
-                             GuardStats* guard) {
+                             const CgOptions& opt) {
   const std::vector<double> last_good = z;  // snapshot before the solve
   CgResult res = minimize_cg(f, z, opt);
-  if (all_finite(z) && std::isfinite(res.f)) {
-    if (guard != nullptr) *guard = GuardStats{};
-    return res;
-  }
+  if (all_finite(z) && std::isfinite(res.f)) return res;
 
   // Graceful degradation: restore the last-good coordinates, halve the step
   // (trust radius), and give the solve one more chance.
+  const std::string stage = obs::current().span_path();
   RP_WARN("numeric guard [%s]: non-finite coordinates after CG; restoring "
           "last-good state and retrying with halved trust radius",
           stage.c_str());
@@ -167,10 +166,6 @@ CgResult minimize_cg_guarded(const CgObjective& f, std::vector<double>& z,
     obs::events().emit(e);
   }
   z = last_good;
-  if (guard != nullptr) {
-    guard->retries = 1;
-    guard->degraded = true;
-  }
   CgOptions degraded = opt;
   degraded.trust_radius = opt.trust_radius * 0.5;
   res = minimize_cg(f, z, degraded);
@@ -186,11 +181,6 @@ CgResult minimize_cg_guarded(const CgObjective& f, std::vector<double>& z,
   throw Error(ErrorCode::NumericError,
               "non-finite coordinates/objective survived restore-and-retry",
               "cg.cpp:guard", stage);
-}
-
-CgResult minimize_cg_in_span(const CgObjective& f, std::vector<double>& z,
-                             const CgOptions& opt) {
-  return minimize_cg_guarded(f, z, opt, obs::current().span_path());
 }
 
 }  // namespace rp

@@ -13,13 +13,14 @@
 // what the gradient needs; gradient(g) finishes ∇f at the point valued
 // LAST. The backtracking loop only values its trials — a rejected trial
 // costs the value pass alone — and gradient() runs once at the start of a
-// solve and once per accepted step (the accepted trial is always the one
-// valued last). A solve of k iterations with t trials in all therefore
-// costs t + 1 value passes and k + 1 gradient passes at most.
+// solve and once per accepted step that the solve continues from (the
+// accepted trial is always the one valued last); the step that ends the
+// solve, on f_rel_tol or at max_iters, needs no gradient. A solve of k ≥ 1
+// iterations with t trials in all therefore costs t + 1 value passes and k
+// gradient passes.
 
 #include <functional>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace rp {
@@ -49,25 +50,15 @@ struct CgObjective {
 /// Minimize starting from z (updated in place).
 CgResult minimize_cg(const CgObjective& f, std::vector<double>& z, const CgOptions& opt);
 
-/// Outcome of the numeric guard wrapped around one minimize_cg call.
-struct GuardStats {
-  int retries = 0;       ///< Restore-and-retry cycles taken (0 or 1).
-  bool degraded = false; ///< True if the accepted solve used a halved step.
-};
-
 /// minimize_cg with numeric guard rails: if the solve leaves any NaN/Inf in
 /// z, restore the last-good z, halve the trust radius, and retry ONCE; a
 /// second non-finite result restores z and throws rp::Error(NumericError).
-/// `stage` names the caller for the error's stage field ("global/level2", ...).
-/// Bitwise-deterministic: the guard only inspects values the solve produced.
+/// The stage of the error, the warning and the guard events is the current
+/// context's open span path ("global/level2", "global/level0/routability"),
+/// a stage_times key; each retry and abort bumps the context's
+/// guard.retries / guard.aborts counters. Bitwise-deterministic: the guard
+/// only inspects values the solve produced.
 CgResult minimize_cg_guarded(const CgObjective& f, std::vector<double>& z,
-                             const CgOptions& opt, const std::string& stage,
-                             GuardStats* guard = nullptr);
-
-/// minimize_cg_guarded with the stage named by the current context's open
-/// span path ("global/level2", "global/level0/routability"), so a
-/// NumericError and its guard events name a stage_times key.
-CgResult minimize_cg_in_span(const CgObjective& f, std::vector<double>& z,
                              const CgOptions& opt);
 
 }  // namespace rp

@@ -42,7 +42,7 @@ const char* kUsage =
     "                    total per-job scheduling budget (0 = auto: RP_THREADS\n"
     "                    env, else hardware). Results never depend on it\n"
     "  --cache <n>       design-cache capacity in entries; repeat inputs skip\n"
-    "                    parse+flatten (0 = off, default 8)\n"
+    "                    parsing or generation (0 = off, default 8)\n"
     "  --verbose         debug logging\n"
     "  --help            this text\n"
     "\n"

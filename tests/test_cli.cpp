@@ -46,6 +46,8 @@ TEST(Cli, ParsesAllOptions) {
 
 TEST(Cli, RejectsUnknownOption) {
   EXPECT_THROW(parse_cli_args({"--frobnicate"}), std::runtime_error);
+  // Removed with the second DP evaluator: rejected, not ignored.
+  EXPECT_THROW(parse_cli_args({"--incremental-eval", "off"}), std::runtime_error);
 }
 
 TEST(Cli, RejectsMissingValue) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "db/validate.hpp"
 #include "dp/detailed.hpp"
@@ -154,6 +155,27 @@ TEST_F(DpTest, CongestionAwareModeAvoidsHotTiles) {
   dp.set_congestion(map, cong);
   dp.run(d);
   EXPECT_LE(hot_cells(d), before);
+  EXPECT_TRUE(check_legality(d).ok());
+}
+
+TEST_F(DpTest, CongestionAwareCrossCheckedRunMatchesRecompute) {
+  // RP_CHECK_INCREMENTAL=1 arms the evaluator's reference: every cached and
+  // trialed cost is checked bit for bit against a from-scratch recompute
+  // (an abort on the first mismatch), and the final total against
+  // Design::hpwl(). Congestion-aware, so the trials carry the congestion
+  // term as in the flow's DP.
+  Design d = legalized_fixture(35);
+  RoutingGrid rg(d, true);
+  estimate_probabilistic(d, rg);
+  DetailedPlaceOptions opt;
+  opt.congestion_weight = 2 * d.row_height();
+  DetailedPlacer dp(opt);
+  dp.set_congestion(rg.map(), rg.tile_congestion());
+  ::setenv("RP_CHECK_INCREMENTAL", "1", 1);
+  const DetailedPlaceStats st = dp.run(d);
+  ::unsetenv("RP_CHECK_INCREMENTAL");
+  EXPECT_GT(st.relocations + st.swaps + st.ism_moves, 0);
+  EXPECT_EQ(st.hpwl_after, d.hpwl());
   EXPECT_TRUE(check_legality(d).ok());
 }
 

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -16,6 +19,7 @@
 #include "util/json.hpp"
 #include "util/logger.hpp"
 #include "util/obs_context.hpp"
+#include "util/parallel.hpp"
 
 namespace rp {
 namespace {
@@ -240,6 +244,56 @@ TEST_F(FlowTest, NullObsRunDoesNotInheritEarlierRuns) {
   EXPECT_EQ(got.events_emitted, want.events_emitted);
   EXPECT_EQ(got.counters, want.counters);
   EXPECT_EQ(got.gauges, want.gauges);
+}
+
+/// FNV-1a (64-bit) over a file's bytes.
+std::uint64_t fnv1a_file(const std::filesystem::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(in), {}};
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST_F(FlowTest, GoldenRoutabilityRun) {
+  // Golden run: exact contest metrics and a hash of the written .pl for one
+  // small congested placement in routability mode — 1 thread, the router
+  // evaluating, congestion-aware DP. A refactor that claims byte identity
+  // must leave every value here unchanged.
+  //
+  // The values are host-specific by design: they were recorded on x86-64
+  // Linux with GCC (AVX2 dispatch, -ffp-contract=off). A mismatch on another
+  // host or toolchain is the cross-host determinism signal this test exists
+  // to give (libm, sort order, compiler), not noise to re-record blindly.
+  namespace fs = std::filesystem;
+  const int prev_threads = parallel::num_threads();
+  parallel::set_num_threads(1);
+  BenchmarkSpec spec = tiny_spec(72);
+  spec.num_std_cells = 1200;
+  spec.track_supply = 0.8;
+  Design d = generate_benchmark(spec);
+  FlowOptions opt = routability_driven_options();
+  ASSERT_TRUE(opt.congestion_aware_dp);
+  const FlowResult r = PlacementFlow(opt).run(d);
+  parallel::set_num_threads(prev_threads);
+
+  const fs::path pl = fs::temp_directory_path() / "rp_flow_golden.pl";
+  write_pl(d, pl);
+  const std::uint64_t pl_hash = fnv1a_file(pl);
+  fs::remove(pl);
+
+  ASSERT_TRUE(r.eval.legality.ok());
+  EXPECT_GT(r.eval.congestion.rc, 100.0);  // congested: the routability loop ran
+  EXPECT_GT(r.dp.relocations + r.dp.swaps, 0);
+  EXPECT_EQ(r.eval.hpwl, 97829.884023018429);
+  EXPECT_EQ(r.eval.scaled_hpwl, 149658.55967226814);
+  EXPECT_EQ(r.eval.congestion.rc, 117.65945589013643);
+  EXPECT_EQ(r.eval.congestion.total_overflow, 49.296213749187814);
+  EXPECT_EQ(r.dp.hpwl_after, 97829.884023018429);
+  EXPECT_EQ(pl_hash, 7463012732106206428ull);
 }
 
 TEST_F(FlowTest, GpTraceExposedInResult) {

@@ -399,12 +399,13 @@ TEST(NumericGuard, CleanSolveTakesNoRetries) {
     }
     return f;
   });
+  obs::ObsContext ctx;
+  obs::ScopedBind bind(&ctx);
   std::vector<double> z{3.0, -2.0, 7.0};
   CgOptions opt;
-  GuardStats gs;
-  const CgResult r = minimize_cg_guarded(quad, z, opt, "test", &gs);
-  EXPECT_EQ(gs.retries, 0);
-  EXPECT_FALSE(gs.degraded);
+  const CgResult r = minimize_cg_guarded(quad, z, opt);
+  EXPECT_EQ(ctx.registry().counter_value("guard.retries"), 0);
+  EXPECT_EQ(ctx.registry().counter_value("guard.nonfinite_detected"), 0);
   EXPECT_LT(r.f, 1e-6);
 }
 
@@ -424,13 +425,17 @@ TEST(NumericGuard, TransientNaNRestoresAndRetries) {
     }
     return (calls == 1) ? nan : fx;
   });
+  obs::ObsContext ctx;
+  obs::ScopedBind bind(&ctx);
   std::vector<double> z{3.0, -2.0};
   CgOptions opt;
   opt.max_iters = 50;
-  GuardStats gs;
-  const CgResult r = minimize_cg_guarded(f, z, opt, "gp/level0", &gs);
-  EXPECT_EQ(gs.retries, 1);
-  EXPECT_TRUE(gs.degraded);
+  RP_SPAN("global");
+  RP_SPAN("level0");
+  const CgResult r = minimize_cg_guarded(f, z, opt);
+  EXPECT_EQ(ctx.registry().counter_value("guard.retries"), 1);
+  // The accepted solve is the halved-step retry: it did not abort.
+  EXPECT_EQ(ctx.registry().counter_value("guard.aborts"), 0);
   for (const double v : z) EXPECT_TRUE(std::isfinite(v));
   EXPECT_TRUE(std::isfinite(r.f));
 }
@@ -442,24 +447,27 @@ TEST(NumericGuard, PersistentNaNAbortsWithNumericError) {
     (void)z;
     return nan;
   });
+  obs::ObsContext ctx;
+  obs::ScopedBind bind(&ctx);
   std::vector<double> z{1.0, 2.0};
   const std::vector<double> z0 = z;
   CgOptions opt;
-  GuardStats gs;
   try {
-    minimize_cg_guarded(f, z, opt, "gp/level3", &gs);
+    RP_SPAN("global");
+    RP_SPAN("level3");
+    minimize_cg_guarded(f, z, opt);
     FAIL() << "persistent NaN must abort";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::NumericError);
     EXPECT_EQ(e.exit_code(), 5);
-    EXPECT_EQ(e.stage(), "gp/level3");
+    EXPECT_EQ(e.stage(), "global/level3");
   }
   EXPECT_EQ(z, z0);  // coordinates restored to the last good snapshot
-  EXPECT_EQ(gs.retries, 1);
+  EXPECT_EQ(ctx.registry().counter_value("guard.retries"), 1);
 }
 
 TEST(NumericGuard, StageIsTheOpenSpanPath) {
-  // place_level solves through minimize_cg_in_span: an abort inside the
+  // place_level solves through minimize_cg_guarded: an abort inside the
   // global/level2 span must name that stage_times key, in the error and in
   // both guard events.
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -473,7 +481,7 @@ TEST(NumericGuard, StageIsTheOpenSpanPath) {
   try {
     RP_SPAN("global");
     RP_SPAN("level2");
-    minimize_cg_in_span(f, z, CgOptions{});
+    minimize_cg_guarded(f, z, CgOptions{});
     FAIL() << "persistent NaN must abort";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::NumericError);

@@ -74,8 +74,7 @@ TEST(ServeJobParse, MapsFieldsThroughCliValidation) {
       R"({"label":"demo","progress":true,"threads":3,"gen":1234,"seed":9,
           "mode":"wirelength","legalizer":"tetris","rounds":2,"density":0.9,
           "wl_model":"LSE","inflate_rate":0.5,"max_gp_iters":40,
-          "max_seconds":1.5,"skip_dp":true,"lenient":true,
-          "incremental_eval":false,"supply":0.8})");
+          "max_seconds":1.5,"skip_dp":true,"lenient":true,"supply":0.8})");
   const JobRequest req = parse_job_request(job);
   EXPECT_EQ(req.label, "demo");
   EXPECT_TRUE(req.progress);
@@ -92,7 +91,6 @@ TEST(ServeJobParse, MapsFieldsThroughCliValidation) {
   EXPECT_DOUBLE_EQ(req.cfg.max_seconds, 1.5);
   EXPECT_TRUE(req.cfg.skip_dp);
   EXPECT_TRUE(req.cfg.lenient);
-  EXPECT_FALSE(req.cfg.incremental_eval);
   EXPECT_DOUBLE_EQ(req.cfg.track_supply, 0.8);
   // Orchestrator-owned outputs must stay unset.
   EXPECT_TRUE(req.cfg.out_pl.empty());
@@ -108,6 +106,7 @@ TEST(ServeJobParse, RejectsAreStructuredValidationErrors) {
       R"({"snapshot_dir":"d"})",         // orchestrator-owned
       R"({"simd":"avx2"})",              // process-wide
       R"({"bogus":1})",                  // unknown
+      R"({"incremental_eval":false})",   // removed: one DP evaluator
       R"({"gen":"many"})",               // wrong type
       R"({"label":7})",                  // wrong type
       R"({"threads":0})",                // not positive

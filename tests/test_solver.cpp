@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -136,15 +137,14 @@ TEST(Cg, BacktracksOnOvershoot) {
   EXPECT_LT(std::abs(z[0]), 3.0);
 }
 
-TEST(Cg, GradientOnlyAtAcceptedSteps) {
-  // f = x⁴ from x = 3 with a coarse trust radius: the full step overshoots,
-  // so the line search backtracks. Log every call and replay the line
-  // search's acceptance rule over the log.
-  struct Call {
-    bool grad;
-    double f;
-  };
-  std::vector<Call> log;
+/// One objective call of a logged solve: a value (with its f) or a gradient.
+struct Call {
+  bool grad;
+  double f;
+};
+
+/// Minimize f = x⁴ from x = 3, logging every objective call.
+CgResult solve_x4(const CgOptions& opt, std::vector<Call>& log) {
   double x = 0.0;  // point of the last value() call
   const CgObjective f{[&](std::span<const double> z) {
                         x = z[0];
@@ -157,45 +157,119 @@ TEST(Cg, GradientOnlyAtAcceptedSteps) {
                         log.push_back({true, 0.0});
                       }};
   std::vector<double> z{3.0};
-  CgOptions opt;
-  opt.max_iters = 60;
-  opt.trust_radius = 2.9;
-  const CgResult res = minimize_cg(f, z, opt);
+  return minimize_cg(f, z, opt);
+}
 
+/// A logged solve's line searches, replayed with the solver's acceptance
+/// rule.
+struct Replay {
+  int values = 0, gradients = 0, accepted = 0, rejected = 0;
+  double f_prev = 0.0;     ///< Objective before the last accepted step.
+  double f = 0.0;          ///< Objective after it.
+  bool open_tail = false;  ///< The final line search got no gradient.
+};
+
+/// Close one line search: its last trial was accepted and every earlier
+/// trial of it was rejected as uphill.
+void close_search(std::vector<double>& trials, const CgOptions& opt, Replay* r) {
+  ASSERT_FALSE(trials.empty());
+  ASSERT_LE(trials.size(), static_cast<std::size_t>(opt.max_backtracks + 1));
+  for (std::size_t t = 0; t + 1 < trials.size(); ++t) {
+    EXPECT_GT(trials[t], r->f) << "a downhill trial was rejected";
+    ++r->rejected;
+  }
+  EXPECT_TRUE(trials.back() <= r->f ||
+              trials.size() == static_cast<std::size_t>(opt.max_backtracks + 1));
+  r->f_prev = r->f;
+  r->f = trials.back();
+  ++r->accepted;
+  trials.clear();
+}
+
+/// A gradient closes the line search before it; trials after the last
+/// gradient form the final line search, whose step ended the solve.
+void replay(const std::vector<Call>& log, const CgOptions& opt, Replay* r) {
   ASSERT_GE(log.size(), 2u);
   ASSERT_FALSE(log[0].grad);
   ASSERT_TRUE(log[1].grad);  // the start point gets its gradient
-  double fz = log[0].f;
-  int values = 1, gradients = 1, accepted = 0, rejected = 0;
+  r->values = r->gradients = 1;
+  r->f = log[0].f;
   std::vector<double> trials;
   for (std::size_t i = 2; i < log.size(); ++i) {
     if (!log[i].grad) {
-      ++values;
+      ++r->values;
       trials.push_back(log[i].f);
       continue;
     }
-    // A gradient closes one line search: its last trial was accepted and
-    // every earlier trial of it was rejected as uphill.
-    ++gradients;
     ASSERT_FALSE(trials.empty()) << "gradient() without a trial at call " << i;
-    ASSERT_LE(trials.size(), static_cast<std::size_t>(opt.max_backtracks + 1));
-    for (std::size_t t = 0; t + 1 < trials.size(); ++t) {
-      EXPECT_GT(trials[t], fz) << "a downhill trial was rejected";
-      ++rejected;
-    }
-    EXPECT_TRUE(trials.back() <= fz ||
-                trials.size() == static_cast<std::size_t>(opt.max_backtracks + 1));
-    fz = trials.back();
-    ++accepted;
-    trials.clear();
+    ++r->gradients;
+    ASSERT_NO_FATAL_FAILURE(close_search(trials, opt, r));
   }
-  EXPECT_TRUE(trials.empty()) << "a line search ended without its gradient";
-  EXPECT_GT(rejected, 0) << "the objective must force backtracks";
-  EXPECT_EQ(gradients, accepted + 1);
-  EXPECT_EQ(values, accepted + rejected + 1);  // once per trial, plus the start
-  EXPECT_GE(accepted, res.iters - 1);  // the last iteration may stop on ||d||
-  EXPECT_LE(accepted, res.iters);
-  EXPECT_EQ(fz, res.f);
+  if (!trials.empty()) {
+    r->open_tail = true;
+    ASSERT_NO_FATAL_FAILURE(close_search(trials, opt, r));
+  }
+}
+
+TEST(Cg, GradientOnlyAtAcceptedSteps) {
+  // A coarse trust radius makes the full step overshoot, so the line search
+  // backtracks. Every trial is valued; only an accepted step that the solve
+  // continues from gets a gradient.
+  CgOptions opt;
+  opt.max_iters = 60;
+  opt.trust_radius = 2.9;
+  std::vector<Call> log;
+  const CgResult res = solve_x4(opt, log);
+  Replay r;
+  ASSERT_NO_FATAL_FAILURE(replay(log, opt, &r));
+  EXPECT_GT(r.rejected, 0) << "the objective must force backtracks";
+  EXPECT_EQ(r.values, r.accepted + r.rejected + 1);  // once per trial, plus the start
+  EXPECT_GE(r.accepted, res.iters - 1);  // the last iteration may stop on ||d||
+  EXPECT_LE(r.accepted, res.iters);
+  // The start's gradient, then one per step the solve continued from: a
+  // solve that ended on a step (not on ||d||) left that step without one.
+  EXPECT_EQ(r.gradients, res.iters);
+  EXPECT_EQ(r.open_tail, r.accepted == res.iters);
+  EXPECT_EQ(r.f, res.f);
+}
+
+TEST(Cg, RelativeChangeStopTakesNoFinalGradient) {
+  CgOptions opt;
+  opt.max_iters = 60;
+  opt.trust_radius = 2.9;
+  opt.f_rel_tol = 1e-2;
+  std::vector<Call> log;
+  const CgResult res = solve_x4(opt, log);
+  Replay r;
+  ASSERT_NO_FATAL_FAILURE(replay(log, opt, &r));
+  // The solve stopped on the relative change of its last accepted step...
+  EXPECT_TRUE(res.converged);
+  EXPECT_LT(res.iters, opt.max_iters);
+  EXPECT_LE(std::abs(r.f_prev - r.f), opt.f_rel_tol * std::max(1.0, std::abs(r.f_prev)));
+  // ...and that step's line search is not closed by a gradient.
+  EXPECT_TRUE(r.open_tail);
+  EXPECT_EQ(r.accepted, res.iters);
+  EXPECT_EQ(r.gradients, res.iters);
+  EXPECT_EQ(r.values, r.accepted + r.rejected + 1);
+  EXPECT_EQ(r.f, res.f);
+}
+
+TEST(Cg, MaxItersStopTakesNoFinalGradient) {
+  CgOptions opt;
+  opt.max_iters = 3;
+  opt.trust_radius = 2.9;
+  opt.f_rel_tol = 0.0;  // only an exactly repeated value would stop early
+  std::vector<Call> log;
+  const CgResult res = solve_x4(opt, log);
+  Replay r;
+  ASSERT_NO_FATAL_FAILURE(replay(log, opt, &r));
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.iters, opt.max_iters);
+  EXPECT_TRUE(r.open_tail);
+  EXPECT_EQ(r.accepted, opt.max_iters);
+  EXPECT_EQ(r.gradients, opt.max_iters);  // the start's, then after steps 1 and 2
+  EXPECT_EQ(r.values, r.accepted + r.rejected + 1);
+  EXPECT_EQ(r.f, res.f);
 }
 
 }  // namespace

@@ -82,6 +82,7 @@ TEST(SweepSpecParse, IllegalSpecsAreValidationErrors) {
   EXPECT_EQ(thrown_exit_code(R"({"axes": {"report-json": ["a"]}})"), 4);
   // Unknown placer flag.
   EXPECT_EQ(thrown_exit_code(R"({"base": {"frobnicate": 1}})"), 4);
+  EXPECT_EQ(thrown_exit_code(R"({"base": {"incremental-eval": "off"}})"), 4);  // removed
   // Empty axis, duplicate seeds, negative seed.
   EXPECT_EQ(thrown_exit_code(R"({"axes": {"mode": []}})"), 4);
   EXPECT_EQ(thrown_exit_code(R"({"seeds": [1, 1]})"), 4);
